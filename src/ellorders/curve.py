@@ -9,12 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .arith import factorize
 from .errors import DataIntegrityError, InputError, SingularModelError
-
-Rat = Fraction
 
 
 def _rat(x) -> Fraction:
@@ -48,7 +46,7 @@ class CurveQ:
     family: FamilyParam | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if _disc(self.ainvs) == 0:
+        if _invariant_kernel(self.ainvs)[6] == 0:
             raise SingularModelError(f"singular model {list(self.ainvs)}")
 
     @property
@@ -82,18 +80,21 @@ class Invariants:
     j: Fraction | None
 
 
-def _b_values(ai):
+def _invariant_kernel(ai):
+    """(b2, b4, b6, b8, c4, c6, disc) of a1..a6 in any commutative ring.
+
+    Only +, -, * and integer literals are used, so the same formulas serve
+    Fraction, int, QuadInt and residues alike.
+    """
     a1, a2, a3, a4, a6 = ai
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
     b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-    return b2, b4, b6, b8
-
-
-def _disc(ai):
-    b2, b4, b6, b8 = _b_values(ai)
-    return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
+    disc = -b2 * b2 * b8 - 8 * b4 * b4 * b4 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return b2, b4, b6, b8, c4, c6, disc
 
 
 def invariants(c) -> Invariants:
@@ -103,10 +104,7 @@ def invariants(c) -> Invariants:
     be singular, in which case j is None.
     """
     ai = c.ainvs if isinstance(c, CurveQ) else tuple(_rat(a) for a in c)
-    b2, b4, b6, b8 = _b_values(ai)
-    c4 = b2 * b2 - 24 * b4
-    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
-    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    b2, b4, b6, b8, c4, c6, disc = _invariant_kernel(ai)
     j = c4**3 / disc if disc != 0 else None
     return Invariants(b2, b4, b6, b8, c4, c6, disc, j)
 
@@ -175,20 +173,31 @@ def quadratic_twist(c: CurveQ, d) -> CurveQ:
     )
 
 
+def _icbrt(k: int) -> int:
+    """Floor of the cube root of an integer k >= 1, by integer Newton steps."""
+    x = 1 << -(-k.bit_length() // 3)  # at least the root
+    while True:
+        y = (2 * x + k // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
 def _is_nth_power(x: Fraction, n: int) -> bool:
+    """Whether x is an n-th power in Q, for n in {2, 4, 6}; exact."""
     if x == 0:
         return True
-    if x < 0 and n % 2 == 0:
+    if x < 0:
         return False
-    sign = -1 if x < 0 else 1
-    num, den = abs(x.numerator), x.denominator
-    rn = round(num ** (1 / n))
-    rd = round(den ** (1 / n))
-    for cand_n in (rn - 1, rn, rn + 1):
-        for cand_d in (rd - 1, rd, rd + 1):
-            if cand_n >= 0 and cand_d >= 1 and cand_n**n == num and cand_d**n == den:
-                return Fraction(sign * cand_n, cand_d) ** n == x
-    return False
+    for k in (x.numerator, x.denominator):
+        root = isqrt(k)
+        if n == 4:
+            root = isqrt(root)
+        elif n == 6:
+            root = _icbrt(root)
+        if root**n != k:
+            return False
+    return True
 
 
 def isomorphic(c1: CurveQ, c2: CurveQ) -> bool:
@@ -471,15 +480,7 @@ class InvariantsK:
 
 
 def invariants_K(c: CurveK) -> InvariantsK:
-    a1, a2, a3, a4, a6 = c.a1, c.a2, c.a3, c.a4, c.a6
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-    c4 = b2 * b2 - 24 * b4
-    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
-    disc = -(b2 * b2 * b8) - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-    return InvariantsK(b2, b4, b6, b8, c4, c6, disc)
+    return InvariantsK(*_invariant_kernel(c.ainvs))
 
 
 def everywhere_good_33() -> CurveK:

@@ -18,7 +18,14 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import factorize, is_prime, legendre, sqrt_mod, valuation
-from .curve import CurveK, CurveQ, QuadInt, integral_model, invariants_K
+from .curve import (
+    CurveK,
+    CurveQ,
+    QuadInt,
+    _invariant_kernel,
+    integral_model,
+    invariants_K,
+)
 from .errors import (
     BadReductionError,
     DataIntegrityError,
@@ -83,16 +90,6 @@ def _ints(c: CurveQ) -> tuple:
     return tuple(int(a) for a in ci.ainvs)
 
 
-def _b_disc(ai):
-    a1, a2, a3, a4, a6 = ai
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-    return b2, b4, b6, b8, disc
-
-
 def _transform_int(ai, r=0, s=0, t=0):
     a1, a2, a3, a4, a6 = ai
     return (
@@ -117,8 +114,7 @@ def _tate_small(ai, p):
     the search sidesteps the characteristic 2 and 3 special cases entirely.
     """
     while True:
-        b2, b4, b6, b8, disc = _b_disc(ai)
-        n = valuation(disc, p)
+        n = valuation(_invariant_kernel(ai)[6], p)
         if n == 0:
             return Kodaira("I", 0), ReductionType.GOOD, 0, ai
 
@@ -139,7 +135,7 @@ def _tate_small(ai, p):
             raise DataIntegrityError(f"no singular point mod {p} despite v(disc) = {n}")
         ai = _transform_int(ai, r=sing[0], t=sing[1])
         a1, a2, a3, a4, a6 = ai
-        b2 = a1 * a1 + 4 * a2
+        b2, _, b6, b8, _, _, _ = _invariant_kernel(ai)
 
         if b2 % p != 0:
             # Multiplicative: split iff the tangent quadratic has a root.
@@ -149,11 +145,9 @@ def _tate_small(ai, p):
 
         if a6 % p**2 != 0:
             return Kodaira("II"), ReductionType.ADDITIVE, n, ai
-        _, _, _, b8, _ = _b_disc(ai)
         if b8 % p**3 != 0:
             return Kodaira("III"), ReductionType.ADDITIVE, n, ai
-        b6_ = a3 * a3 + 4 * a6
-        if b6_ % p**3 != 0:
+        if b6 % p**3 != 0:
             return Kodaira("IV"), ReductionType.ADDITIVE, n, ai
 
         # Normalise for step 6: p | a1, a2; p^2 | a3, a4; p^3 | a6.
@@ -239,9 +233,7 @@ def _step6_normalise(ai, p):
 
 def _local_large(ai, p):
     """Kodaira type at p >= 5 from the valuations of c4 and the discriminant."""
-    b2, b4, b6, _, disc = _b_disc(ai)
-    c4 = b2 * b2 - 24 * b4
-    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
+    _, _, _, _, c4, c6, disc = _invariant_kernel(ai)
     k = 0
     while (
         disc % p ** (12 * (k + 1)) == 0
@@ -337,7 +329,7 @@ def _count_model_mod_p(ai, p: int) -> int:
                 if (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % 2 == 0:
                     count += 1
         return count
-    b2, b4, b6, _, _ = _b_disc(ai)
+    b2, b4, b6, *_ = _invariant_kernel(ai)
     b2 %= p
     d4 = (2 * b4) % p
     b6 %= p
@@ -358,8 +350,7 @@ def count_points_fp(c: CurveQ, p: int) -> PointCount:
     if p > COUNT_CEILING:
         raise ResourceError(f"point count at {p} exceeds ceiling {COUNT_CEILING}")
     ai = _ints(c)
-    _, _, _, _, disc = _b_disc(ai)
-    if disc % p != 0:
+    if _invariant_kernel(ai)[6] % p != 0:
         n = _count_model_mod_p(ai, p)
         good = True
     else:
@@ -401,44 +392,22 @@ def count_extension(trace_or_count, p: int | None = None, n: int = 2) -> PointCo
 
 
 def count_fp2_direct(c: CurveQ, p: int) -> int:
-    """Enumerative |E(F_{p^2})| for small odd good p: the n = 2 oracle.
-
-    Squareness in F_{p^2} is read off the norm, so the double loop stays in
-    plain integers.
-    """
+    """Enumerative |E(F_{p^2})| for small odd good p: the n = 2 oracle."""
     if p < 3 or not is_prime(p) or p > FP2_DIRECT_CEILING:
         raise InputError(
             f"direct F_p^2 enumeration supports odd primes up to {FP2_DIRECT_CEILING}"
         )
     ai = _ints(c)
-    _, _, _, _, disc = _b_disc(ai)
-    if disc % p != 0:
-        b2, b4, b6, _, _ = _b_disc(ai)
-    else:
+    if _invariant_kernel(ai)[6] % p == 0:
         ld = _local_data_ints(ai, p)
         if ld.rtype is not ReductionType.GOOD:
             raise InputError(f"direct F_p^2 enumeration needs good reduction at {p}")
-        b2, b4, b6, _, _ = _b_disc(ld.minimal_ainvs)
+        ai = ld.minimal_ainvs
+    b2, b4, b6, *_ = _invariant_kernel(ai)
     r = 2
     while legendre(r, p) != -1:
         r += 1
-    b2, d4, b6 = b2 % p, (2 * b4) % p, b6 % p
-    total = p * p + 1
-    for x0 in range(p):
-        for x1 in range(p):
-            # B(x) for x = x0 + x1 s, s^2 = r
-            u, v = x0, x1
-            # x^2
-            u2, v2 = (u * u + r * v * v) % p, (2 * u * v) % p
-            # x^3
-            u3, v3 = (u2 * u + r * v2 * v) % p, (u2 * v + v2 * u) % p
-            zu = (4 * u3 + b2 * u2 + d4 * u + b6) % p
-            zv = (4 * v3 + b2 * v2 + d4 * v) % p
-            nrm = (zu * zu - r * zv * zv) % p
-            # norm zero forces z = 0 since r is a nonresidue; chi(0) = 0
-            if nrm != 0:
-                total += legendre(nrm, p)
-    return total
+    return _fq_enumerate(((b2 % p, 0), (b4 % p, 0), (b6 % p, 0)), p, r)
 
 
 def twist_count_identity_check(c: CurveQ, p: int) -> bool:
@@ -446,7 +415,7 @@ def twist_count_identity_check(c: CurveQ, p: int) -> bool:
     if p < 3 or not is_prime(p):
         raise InputError("twist identity check needs an odd prime")
     ai = _ints(c)
-    b2, b4, b6, _, disc = _b_disc(ai)
+    b2, b4, b6, _, _, _, disc = _invariant_kernel(ai)
     if disc % p == 0:
         raise InputError(f"twist identity check needs good reduction at {p}")
     # complete the square only; eliminating the x^2 term would need p > 3
@@ -516,8 +485,7 @@ def count_at_quadratic_prime(c: CurveQ, d: int, p: int) -> int:
     if p == 2:
         raise UnsupportedPrimeError("residue counts at 2 are not supported")
     ai = _ints(c)
-    _, _, _, _, disc = _b_disc(ai)
-    if disc % p == 0:
+    if _invariant_kernel(ai)[6] % p == 0:
         ld = _local_data_ints(ai, p)
         if ld.rtype is not ReductionType.GOOD:
             raise BadReductionError(f"bad reduction at {p}")
@@ -714,20 +682,9 @@ def _exact_order(pt, ai, p, r, multiple):
     return o
 
 
-def _fq_twist(ai, p, r):
-    """A quadratic twist over F_{p^2} of the short form of the model."""
-    b2, b4, b6 = _fq_b_values(ai, p, r)
-    # c4, c6 of the reduced model
-    c4 = (
-        (_fq_mul(b2, b2, p, r)[0] - 24 * b4[0]) % p,
-        (_fq_mul(b2, b2, p, r)[1] - 24 * b4[1]) % p,
-    )
-    b23 = _fq_mul(b2, _fq_mul(b2, b2, p, r), p, r)
-    b2b4 = _fq_mul(b2, b4, p, r)
-    c6 = (
-        (-b23[0] + 36 * b2b4[0] - 216 * b6[0]) % p,
-        (-b23[1] + 36 * b2b4[1] - 216 * b6[1]) % p,
-    )
+def _fq_twist(c46, p, r):
+    """A quadratic twist over F_{p^2} of the short model with these c4, c6."""
+    c4, c6 = c46
     inv48 = pow(48, p - 2, p)
     inv864 = pow(864, p - 2, p)
     a4 = ((-c4[0] * inv48) % p, (-c4[1] * inv48) % p)
@@ -739,19 +696,6 @@ def _fq_twist(ai, p, r):
     g3 = _fq_mul(g2, g, p, r)
     zero = (0, 0)
     return (zero, zero, zero, _fq_mul(a4, g2, p, r), _fq_mul(a6, g3, p, r))
-
-
-def _fq_b_values(ai, p, r):
-    a1, a2, a3, a4, a6 = ai
-    b2 = (
-        (_fq_mul(a1, a1, p, r)[0] + 4 * a2[0]) % p,
-        (_fq_mul(a1, a1, p, r)[1] + 4 * a2[1]) % p,
-    )
-    a1a3 = _fq_mul(a1, a3, p, r)
-    b4 = ((2 * a4[0] + a1a3[0]) % p, (2 * a4[1] + a1a3[1]) % p)
-    a3a3 = _fq_mul(a3, a3, p, r)
-    b6 = ((a3a3[0] + 4 * a6[0]) % p, (a3a3[1] + 4 * a6[1]) % p)
-    return b2, b4, b6
 
 
 def _fq_candidates(ai, p, r, rng, rounds=24):
@@ -773,33 +717,41 @@ def _fq_candidates(ai, p, r, rng, rounds=24):
     return lcm_, list(range(first, hi + 1, lcm_))
 
 
-def _fq_enumerate(ai, p, r):
-    b2, b4, b6 = _fq_b_values(ai, p, r)
+def _fq_enumerate(b246, p, r):
+    """|E(F_{p^2})| from the model's b2, b4, b6 by the character sum.
+
+    |E| = p^2 + 1 + sum over x of chi(B(x)), B = 4x^3 + b2 x^2 + 2 b4 x + b6.
+    Squareness in F_{p^2} is read off the norm, so the double loop stays in
+    plain integers.
+    """
+    (b2u, b2v), (b4u, b4v), (b6u, b6v) = b246
+    d4u, d4v = 2 * b4u, 2 * b4v
+    rb2v, rd4v = r * b2v, r * d4v
     total = p * p + 1
-    for x0 in range(p):
-        for x1 in range(p):
-            x = (x0, x1)
-            x2 = _fq_mul(x, x, p, r)
-            x3 = _fq_mul(x2, x, p, r)
-            zu = (4 * x3[0] + _fq_mul(b2, x2, p, r)[0]
-                  + 2 * _fq_mul(b4, x, p, r)[0] + b6[0]) % p
-            zv = (4 * x3[1] + _fq_mul(b2, x2, p, r)[1]
-                  + 2 * _fq_mul(b4, x, p, r)[1] + b6[1]) % p
+    for u in range(p):
+        for v in range(p):
+            # x = u + v s with s^2 = r, then B(x) = zu + zv s
+            u2, v2 = (u * u + r * v * v) % p, (2 * u * v) % p
+            u3, v3 = (u2 * u + r * v2 * v) % p, (u2 * v + v2 * u) % p
+            zu = (4 * u3 + b2u * u2 + rb2v * v2 + d4u * u + rd4v * v + b6u) % p
+            zv = (4 * v3 + b2u * v2 + b2v * u2 + d4u * v + d4v * u + b6v) % p
             nrm = (zu * zu - r * zv * zv) % p
+            # norm zero forces z = 0 since r is a nonresidue; chi(0) = 0
             if nrm != 0:
                 total += legendre(nrm, p)
     return total
 
 
-def _fq_group_order(ai, p, r):
+def _fq_group_order(ai, p, r, b246, c46):
     """|E(F_{p^2})| by random-point order finding inside the Hasse window.
 
+    b246 and c46 are the model's (b2, b4, b6) and (c4, c6) in F_{p^2}.
     Ambiguity (several multiples of the sampled exponent in the window, as
     happens for supersingular reductions) is broken against the quadratic
     twist, whose order is locked to this one by the trace identity.
     """
     if p <= 211:
-        return _fq_enumerate(ai, p, r)
+        return _fq_enumerate(b246, p, r)
     seed = p
     for comp in ai:
         seed = seed * 1000003 + comp[0] * 65537 + comp[1]
@@ -808,12 +760,12 @@ def _fq_group_order(ai, p, r):
     if len(cands) == 1:
         return cands[0]
     q = p * p
-    tw = _fq_twist(ai, p, r)
+    tw = _fq_twist(c46, p, r)
     lcm_tw, _ = _fq_candidates(tw, p, r, rng)
     narrowed = [n for n in cands if (2 * q + 2 - n) % lcm_tw == 0]
     if len(narrowed) == 1:
         return narrowed[0]
-    return _fq_enumerate(ai, p, r)
+    return _fq_enumerate(b246, p, r)
 
 
 def count_curveK_at_prime(c: CurveK, p: int) -> list:
@@ -855,4 +807,5 @@ def count_curveK_at_prime(c: CurveK, p: int) -> list:
     if embq(inv.disc) == (0, 0):
         raise BadReductionError(f"bad reduction above {p} (inert)")
     ai = tuple(embq(a) for a in c.ainvs)
-    return [_fq_group_order(ai, p, r)]
+    b246 = (embq(inv.b2), embq(inv.b4), embq(inv.b6))
+    return [_fq_group_order(ai, p, r, b246, (embq(inv.c4), embq(inv.c6)))]

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import factorize, is_prime, legendre, primes_in_range, valuation
-from .curve import CurveK, CurveQ, curve, integral_model, invariants, make_family
+from .curve import (
+    CurveK,
+    CurveQ,
+    _invariant_kernel,
+    curve,
+    integral_model,
+    invariants,
+    make_family,
+)
 from .errors import (
     BadReductionError,
     DataIntegrityError,
@@ -468,12 +476,7 @@ def check_kubert_conditions(A, T: int, p: int) -> KubertVerdict:
         raise InputError("five coefficients required")
     ai = tuple(int(a) % p for a in A)
     a1, a2, a3, a4, a6 = ai
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-    disc = (-b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6) % p
-    if disc == 0:
+    if _invariant_kernel(ai)[6] % p == 0:
         return KubertVerdict(False, "singular")
     T %= p
     rhs = (T**3 + a2 * T * T + a4 * T + a6) % p

@@ -21,6 +21,9 @@ from .curve import CurveQ, integral_model, invariants, quadratic_twist
 from .errors import DataIntegrityError, InputError, ResourceError, UnsupportedPrimeError
 from .reduction import (
     BadReductionError,
+    _exact_order,
+    _fq_pt_add,
+    _fq_pt_mul,
     count_at_quadratic_prime,
     count_points_fp,
 )
@@ -147,43 +150,39 @@ class DivisionPolynomial:
         return _peval(self.coefficients, x)
 
 
-def _bvals(c: CurveQ):
+def _seeds(c: CurveQ):
+    """B = psi_2^2, f_3 and f_4 as polynomials in x."""
     inv = invariants(c)
-    return inv.b2, inv.b4, inv.b6, inv.b8
+    b2, b4, b6, b8 = inv.b2, inv.b4, inv.b6, inv.b8
+    B = [b6, 2 * b4, b2, 4]
+    f3 = [b8, 3 * b6, 3 * b4, b2, 3]
+    f4 = [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2]
+    return B, f3, f4
 
 
-def _f_sequence(c: CurveQ, m: int) -> list:
-    """The y-free division polynomial sequence f_0 .. f_m.
+def _f_sequence(f, B2, m: int, mul, sub) -> list:
+    """Extend the seeds f_0 .. f_4 to the y-free division sequence f_0 .. f_m.
 
     psi_m = f_m for odd m, psi_m = psi_2 f_m for even m, with
-    psi_2^2 = B = 4x^3 + b2 x^2 + 2 b4 x + b6.
+    psi_2^2 = B = 4x^3 + b2 x^2 + 2 b4 x + b6; B2 is B^2.  The ring is
+    given by its multiply and subtract, so the same recurrence runs on
+    polynomials over Q and on values mod p.
     """
-    b2, b4, b6, b8 = _bvals(c)
-    B = [b6, 2 * b4, b2, 4]
-    B2 = _pmul(B, B)
-    f = [
-        [0],
-        [1],
-        [1],
-        _pnorm([b8, 3 * b6, 3 * b4, b2, 3]),
-        _pnorm(
-            [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2]
-        ),
-    ]
+    f = list(f)
     for k in range(5, m + 1):
         if k % 2:
             mm = (k - 1) // 2
-            lead = _pmul(f[mm + 2], _pmul(f[mm], _pmul(f[mm], f[mm])))
-            tail = _pmul(f[mm - 1], _pmul(f[mm + 1], _pmul(f[mm + 1], f[mm + 1])))
+            lead = mul(f[mm + 2], mul(f[mm], mul(f[mm], f[mm])))
+            tail = mul(f[mm - 1], mul(f[mm + 1], mul(f[mm + 1], f[mm + 1])))
             if mm % 2 == 0:
-                f.append(_psub(_pmul(lead, B2), tail))
+                f.append(sub(mul(lead, B2), tail))
             else:
-                f.append(_psub(lead, _pmul(tail, B2)))
+                f.append(sub(lead, mul(tail, B2)))
         else:
             mm = k // 2
-            left = _pmul(f[mm + 2], _pmul(f[mm - 1], f[mm - 1]))
-            right = _pmul(f[mm - 2], _pmul(f[mm + 1], f[mm + 1]))
-            f.append(_pmul(f[mm], _psub(left, right)))
+            left = mul(f[mm + 2], mul(f[mm - 1], f[mm - 1]))
+            right = mul(f[mm - 2], mul(f[mm + 1], f[mm + 1]))
+            f.append(mul(f[mm], sub(left, right)))
     return f
 
 
@@ -195,12 +194,11 @@ def division_polynomial(c: CurveQ, m: int) -> DivisionPolynomial:
         raise ResourceError(
             f"m = {m} exceeds the coefficient-growth guard {DIVISION_POLY_GUARD}"
         )
-    f = _f_sequence(c, m)
+    B, f3, f4 = _seeds(c)
+    f = _f_sequence([[0], [1], [1], f3, f4], _pmul(B, B), m, _pmul, _psub)
     if m % 2:
         coeffs = f[m]
     else:
-        b2, b4, b6, _ = _bvals(c)
-        B = [b6, 2 * b4, b2, 4]
         coeffs = _pmul(B, _pmul(f[m], f[m]))
     return DivisionPolynomial(m, tuple(coeffs), squared=(m % 2 == 0))
 
@@ -211,45 +209,17 @@ def division_value_mod(c: CurveQ, m: int, x0: int, p: int) -> int:
         raise InputError("m must be nonnegative")
     if not is_prime(p) or p == 2:
         raise InputError("division values need an odd prime modulus")
-    ci = integral_model(c)
-    b2, b4, b6, b8 = (int(v) % p for v in _bvals(ci))
-    x0 %= p
-    B0 = (4 * pow(x0, 3, p) + b2 * x0 * x0 + 2 * b4 * x0 + b6) % p
-    B2 = B0 * B0 % p
-    f = [
-        0,
-        1,
-        1,
-        (3 * pow(x0, 4, p) + b2 * pow(x0, 3, p) + 3 * b4 * x0 * x0 + 3 * b6 * x0 + b8) % p,
-        (
-            2 * pow(x0, 6, p) + b2 * pow(x0, 5, p) + 5 * b4 * pow(x0, 4, p)
-            + 10 * b6 * pow(x0, 3, p) + 10 * b8 * x0 * x0
-            + (b2 * b8 - b4 * b6) * x0 + (b4 * b8 - b6 * b6)
-        ) % p,
-    ]
-    if m <= 4:
-        return f[m]
-    for k in range(5, m + 1):
-        if k % 2:
-            mm = (k - 1) // 2
-            lead = f[mm + 2] * pow(f[mm], 3, p) % p
-            tail = f[mm - 1] * pow(f[mm + 1], 3, p) % p
-            if mm % 2 == 0:
-                f.append((lead * B2 - tail) % p)
-            else:
-                f.append((lead - tail * B2) % p)
-        else:
-            mm = k // 2
-            val = f[mm] * (f[mm + 2] * f[mm - 1] ** 2 - f[mm - 2] * f[mm + 1] ** 2)
-            f.append(val % p)
+    B0, f3, f4 = (int(_peval(g, x0 % p)) % p for g in _seeds(integral_model(c)))
+    f = _f_sequence([0, 1, 1, f3, f4], B0 * B0 % p, m,
+                    lambda a, b: a * b % p, lambda a, b: (a - b) % p)
     return f[m]
 
 
 # ---------------------------------------------------------------------------
-# group law over F_p on the long model (reduced from the integral model)
-
-INFINITY = None
-FpPoint = tuple  # (x, y) residues; None stands for the point at infinity
+# group law over F_p on the long model (reduced from the integral model).
+# Points over F_p are the v = 0 points of the F_{p^2} law in reduction.py;
+# they form a subgroup because the coefficients lie in F_p.  No product
+# ever meets a nonzero v, so the law runs with r = 0.
 
 
 def _good_model(c: CurveQ, p: int):
@@ -258,96 +228,45 @@ def _good_model(c: CurveQ, p: int):
     inv = invariants(ci)
     if int(inv.disc) % p == 0:
         raise InputError(f"group law helpers need good reduction at {p}")
-    return ai
+    return tuple((a % p, 0) for a in ai)
 
 
-def _on_curve(pt, ai, p) -> bool:
-    if pt is None:
-        return True
-    x, y = pt
-    a1, a2, a3, a4, a6 = ai
-    return (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % p == 0
-
-
-def _ec_neg(pt, ai, p):
+def _lift(pt, ai, p):
+    """pt as an F_{p^2} point, after checking that it lies on the curve."""
     if pt is None:
         return None
     x, y = pt
-    a1, _, a3, _, _ = ai
-    return (x, (-y - a1 * x - a3) % p)
+    a1, a2, a3, a4, a6 = (a for a, _ in ai)
+    if (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % p:
+        raise InputError(f"{pt} is not on the reduced curve mod {p}")
+    return ((x % p, 0), (y % p, 0))
 
 
-def _ec_add(pt1, pt2, ai, p):
-    if pt1 is None:
-        return pt2
-    if pt2 is None:
-        return pt1
-    a1, a2, a3, a4, _ = ai
-    x1, y1 = pt1
-    x2, y2 = pt2
-    if x1 == x2 and (y1 + y2 + a1 * x1 + a3) % p == 0:
-        return None
-    if x1 == x2:
-        num = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) % p
-        den = (2 * y1 + a1 * x1 + a3) % p
-    else:
-        num = (y2 - y1) % p
-        den = (x2 - x1) % p
-    lam = num * pow(den, p - 2, p) % p
-    x3 = (lam * lam + a1 * lam - a2 - x1 - x2) % p
-    y3 = (lam * (x1 - x3) - y1 - a1 * x3 - a3) % p
-    return (x3, y3)
-
-
-def _ec_mul(n, pt, ai, p):
-    if n < 0:
-        return _ec_mul(-n, _ec_neg(pt, ai, p), ai, p)
-    out = None
-    base = pt
-    while n:
-        if n & 1:
-            out = _ec_add(out, base, ai, p)
-        base = _ec_add(base, base, ai, p)
-        n >>= 1
-    return out
+def _project(pt):
+    return None if pt is None else (pt[0][0], pt[1][0])
 
 
 def ec_add(p: int, c: CurveQ, P, Q):
     ai = _good_model(c, p)
-    for pt in (P, Q):
-        if not _on_curve(pt, ai, p):
-            raise InputError(f"{pt} is not on the reduced curve mod {p}")
-    return _ec_add(P, Q, ai, p)
+    return _project(_fq_pt_add(_lift(P, ai, p), _lift(Q, ai, p), ai, p, 0))
 
 
 def ec_mul(p: int, c: CurveQ, n: int, P):
     ai = _good_model(c, p)
-    if not _on_curve(P, ai, p):
-        raise InputError(f"{P} is not on the reduced curve mod {p}")
-    return _ec_mul(n, P, ai, p)
+    return _project(_fq_pt_mul(n, _lift(P, ai, p), ai, p, 0))
 
 
 def point_order(p: int, c: CurveQ, P) -> int:
     """Exact order of P in E(F_p), by descending from the group order."""
     ai = _good_model(c, p)
-    if not _on_curve(P, ai, p):
-        raise InputError(f"{P} is not on the reduced curve mod {p}")
+    P = _lift(P, ai, p)
     if P is None:
         return 1
-    n = count_points_fp(c, p).count
-    order = n
-    for q in factorize(n):
-        while order % q == 0 and _ec_mul(order // q, P, ai, p) is None:
-            order //= q
-    return order
+    return _exact_order(P, ai, p, 0, count_points_fp(c, p).count)
 
 
 # ---------------------------------------------------------------------------
 # exact arithmetic over Q on a short model, for order-of-point checks
-
-
-def _rat_neg(pt):
-    return None if pt is None else (pt[0], -pt[1])
 
 
 def _rat_add(pt1, pt2, A, B):

@@ -1,0 +1,96 @@
+"""Byte-level golden test of the command-line output.
+
+Every subcommand runs in md, csv and json at small bounds, offline, and its
+exit code and the sha256 of its stdout are compared with
+tests/data/cli_golden.json.  A change to any number or any formatting byte
+that reaches stdout turns the matching case red.
+
+To re-record the fixture after an intended output change, run
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+and say in the change log why the bytes moved.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from ellorders.catalog import CACHE_DIR_ENV
+from ellorders.cli import SCAN_CEILING_ENV, main
+
+FIXTURE = Path(__file__).parent / "data" / "cli_golden.json"
+
+# (case name, arguments without --format); each runs in all three formats
+COMMANDS = [
+    ("count", ["count", "--curve", "[1,-1,1,-199,510]", "--max-prime", "60"]),
+    ("local", ["local", "--label", "2880r6", "--offline"]),
+    ("extension", ["extension", "--curve", "[1,-1,1,-1,-14]", "--d", "-1",
+                   "--max-prime", "60"]),
+    ("torsion", ["torsion", "--curve", "[1,-1,1,-199,510]", "--d", "5",
+                 "--max-prime", "150"]),
+    ("twist", ["twist", "--curve", "[1,-1,1,-199,510]", "--d", "-3",
+               "--max-prime", "200"]),
+    ("survey", ["survey", "--curve", "[0,0,0,-12,-11]", "--mod", "12",
+                "--class-mod", "20", "--max-prime", "500"]),
+    ("gcd", ["gcd", "--family", "kkp", "--t", "1/2", "--max-prime", "300"]),
+    ("gcd-quadratic", ["gcd-quadratic", "--curve", "[1,-1,1,-1,-14]",
+                       "--d", "-1", "--max-prime", "300"]),
+    ("supersingular", ["supersingular", "--curve", "[0,0,0,-1,0]",
+                       "--mod", "4", "--max-prime", "300"]),
+    ("anomalous", ["anomalous", "--label", "175b2", "--offline", "--mod", "3",
+                   "--max-prime", "500"]),
+    ("family", ["family", "--family", "family5", "--t", "2,3",
+                "--max-prime", "200"]),
+    ("kubert-accept", ["kubert-check", "--curve", "[0,-1,-1,0,0]", "--t", "0",
+                       "--mod", "5"]),
+    ("kubert-singular", ["kubert-check", "--curve", "[0,0,0,-12,-11]",
+                         "--t", "1", "--mod", "5"]),
+    ("kubert-no-point", ["kubert-check", "--curve", "[0,-1,-1,0,0]",
+                         "--t", "2", "--mod", "7"]),
+    ("kubert-psi-nonzero", ["kubert-check", "--curve", "[0,0,0,1,1]",
+                            "--t", "0", "--mod", "3"]),
+    ("resolve", ["resolve", "--label", "50a3", "--offline"]),
+    ("corpus-verify", ["corpus-verify", "--max-prime", "100", "--offline"]),
+]
+
+FORMATS = ("md", "csv", "json")
+
+CASES = [(f"{name}-{fmt}", args + ["--format", fmt])
+         for name, args in COMMANDS for fmt in FORMATS]
+
+
+def _run(args):
+    res = CliRunner().invoke(main, args)
+    return {"exit_code": res.exit_code,
+            "sha256": hashlib.sha256(res.stdout_bytes).hexdigest()}
+
+
+def test_fixture_covers_every_case():
+    recorded = json.loads(FIXTURE.read_text())
+    assert sorted(recorded) == sorted(case for case, _ in CASES)
+    # every subcommand of the CLI appears at least once
+    used = {args[0] for _, args in COMMANDS}
+    assert used == set(main.commands)
+
+
+@pytest.mark.parametrize("case,args", CASES, ids=[case for case, _ in CASES])
+def test_stdout_bytes_match_fixture(case, args, monkeypatch):
+    monkeypatch.delenv(SCAN_CEILING_ENV, raising=False)
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    recorded = json.loads(FIXTURE.read_text())[case]
+    assert _run(args) == recorded, " ".join(args)
+
+
+if __name__ == "__main__":
+    import os
+
+    os.environ.pop(SCAN_CEILING_ENV, None)
+    os.environ.pop(CACHE_DIR_ENV, None)
+    FIXTURE.parent.mkdir(exist_ok=True)
+    out = {case: _run(args) for case, args in CASES}
+    FIXTURE.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(out)} cases to {FIXTURE}")

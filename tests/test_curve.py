@@ -117,6 +117,19 @@ class TestTwist:
         for t in (2, 3, 5):
             assert invariants(family5(t)).j == invariants(quadratic_twist(base, t)).j
 
+    @pytest.mark.parametrize("ainvs,u", [
+        ([1, -1, 1, -199, 510], F(1, 10**40)),
+        ([1, -1, 1, -199, 510], F(10**40)),
+        ([0, 0, 0, 0, 1], F(1, 10**20)),  # j = 0: sixth powers
+        ([0, 0, 0, 1, 0], F(1, 10**40)),  # j = 1728: fourth powers
+    ])
+    def test_isomorphic_under_extreme_scaling(self, ainvs, u):
+        # the scaling factors are far beyond float precision
+        c = curve(ainvs)
+        assert isomorphic(c, transformed(c, u=u))
+        assert isomorphic(c, transformed(c, u=u, r=3, s=-1, t=2))
+        assert not isomorphic(c, quadratic_twist(transformed(c, u=u), 2))
+
     def test_nonsquarefree_rejected(self):
         with pytest.raises(InputError):
             quadratic_twist(curve([0, 0, 0, -12, -11]), 12)

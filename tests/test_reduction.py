@@ -13,6 +13,7 @@ from ellorders.curve import (
     e1k,
     everywhere_good_6,
     everywhere_good_33,
+    invariants_K,
     kubert5,
     transformed,
 )
@@ -30,6 +31,7 @@ from ellorders.reduction import (
     _count_model_mod_p,
     _fq_enumerate,
     _fq_group_order,
+    _fq_twist,
     count_at_quadratic_prime,
     count_curveK_at_prime,
     count_extension,
@@ -299,15 +301,38 @@ class TestCurveKCounts:
     def test_bsgs_agrees_with_enumeration(self):
         # just above the enumeration cutoff, including supersingular cases
         g6 = everywhere_good_6()
+        inv = invariants_K(g6)
         for p in (223, 227, 229):
             counts = count_curveK_at_prime(g6, p)
             if splitting(6, p).kind is SplitKind.INERT:
                 inv2 = pow(2, p - 2, p)
-                ai = []
-                for a in g6.ainvs:
+                b246 = []
+                for a in (inv.b2, inv.b4, inv.b6):
                     u, v = a.doubled()
-                    ai.append(((u * inv2) % p, (v * inv2) % p))
-                assert counts == [_fq_enumerate(tuple(ai), p, 6 % p)]
+                    b246.append(((u * inv2) % p, (v * inv2) % p))
+                assert counts == [_fq_enumerate(tuple(b246), p, 6 % p)]
+
+    def test_fq_twist_counts_sum_to_2q_plus_2(self):
+        # |E(F_q)| + |E^g(F_q)| = 2q + 2 for q = p^2 and a nonsquare g; both
+        # sides of the enumeration cutoff at 211, both everywhere-good curves
+        for ck, primes in ((everywhere_good_6(), (7, 11, 13, 223)),
+                           (everywhere_good_33(), (5, 13, 19, 241))):
+            inv = invariants_K(ck)
+            for p in primes:
+                assert splitting(ck.d, p).kind is SplitKind.INERT
+                r, inv2 = ck.d % p, pow(2, p - 2, p)
+
+                def red(z):
+                    u, v = z.doubled()
+                    return ((u * inv2) % p, (v * inv2) % p)
+
+                n = _fq_enumerate((red(inv.b2), red(inv.b4), red(inv.b6)), p, r)
+                assert count_curveK_at_prime(ck, p) == [n]
+                _, _, _, a4, a6 = _fq_twist((red(inv.c4), red(inv.c6)), p, r)
+                # the twist is short: b2 = 0, b4 = 2 a4, b6 = 4 a6
+                tw = ((0, 0), (2 * a4[0] % p, 2 * a4[1] % p),
+                      (4 * a6[0] % p, 4 * a6[1] % p))
+                assert n + _fq_enumerate(tw, p, r) == 2 * p * p + 2
 
     def test_supersingular_disambiguation(self):
         # 223 is inert in Q(sqrt 6) and the reduction is supersingular there:
