@@ -22,11 +22,16 @@ SCAN_CEILING = 10**8
 _SEGMENT_THRESHOLD = 10**6
 _SEGMENT_WIDTH = 1 << 20
 
-# Deterministic Miller-Rabin bases, valid for every n < 3.3 * 10**24.
+# Miller-Rabin bases, deterministic below _MR_BOUND: the smallest strong
+# pseudoprime to all twelve is 318665857834031151167461 (Sorenson and
+# Webster, 2015).  From there on a strong Lucas test joins base 2, which
+# makes the test BPSW (Baillie and Wagstaff, 1980).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
+    """Exact below _MR_BOUND; BPSW, with no known counterexample, above it."""
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -47,7 +52,61 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_BOUND or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a|n) for odd n > 0."""
+    a %= n
+    t = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters.
+
+    n is odd and has no prime factor below 41.
+    D is the first of 5, -7, 9, -11, ... with (D|n) = -1; P = 1 and
+    Q = (1 - D)/4.  With n + 1 = d 2^s, n passes when U_d = 0 or
+    V_{d 2^k} = 0 for some k < s, all mod n.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D with (D|n) = -1 exists
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # 5 <= |D| < n shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1, Q^1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            U = (U + n if U % 2 else U) // 2 % n
+            V = (V + n if V % 2 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _require_odd_prime(p: int) -> None:
@@ -58,6 +117,11 @@ def _require_odd_prime(p: int) -> None:
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) via the Euler criterion.  p must be an odd prime."""
     _require_odd_prime(p)
+    return _euler(a, p)
+
+
+def _euler(a: int, p: int) -> int:
+    """(a|p) by the Euler criterion, for a p its caller already proved prime."""
     a %= p
     if a == 0:
         return 0

@@ -31,6 +31,7 @@ from .errors import (
 from .reduction import (
     ReductionType,
     _count_model_mod_p,
+    _local_data_ints,
     count_curveK_at_prime,
     count_points_fp,
     local_data,
@@ -158,12 +159,20 @@ class ScanReport:
             raise DataIntegrityError("pass flag contradicts the violation list")
 
 
+def _count_good(ai, disc, p):
+    """N_p at a good p, on the p-minimal model when ai is not minimal at p."""
+    if disc % p == 0:
+        ai = _local_data_ints(ai, p).minimal_ainvs
+    return _count_model_mod_p(ai, p)
+
+
 def _scan_chunk(args):
     ai, m, N, primes = args
+    disc = _invariant_kernel(ai)[6]
     rows = {}
     cells = {}
     for p in primes:
-        n = _count_model_mod_p(ai, p)
+        n = _count_good(ai, disc, p)
         s, t = p % N, n % m
         rows.setdefault(s, {})
         rows[s][t] = rows[s].get(t, 0) + 1
@@ -224,6 +233,7 @@ def verify_expected(table: CongruenceTable, exp: ExpectedTable) -> ScanReport:
     matched = []
     violations = []
     densities = {}
+    disc = _invariant_kernel(table.ainvs)[6]
     for s, t, n in table.cells():
         primes = table.primes_by_cell[(s, t)]
         densities[(s, t)] = Fraction(n, table.total)
@@ -233,7 +243,7 @@ def verify_expected(table: CongruenceTable, exp: ExpectedTable) -> ScanReport:
             continue
         context = f"p class {s}" if allowed else f"no expected row for p class {s}"
         violations.extend(
-            Violation(p, _count_model_mod_p(table.ainvs, p), t, allowed, context)
+            Violation(p, _count_good(table.ainvs, disc, p), t, allowed, context)
             for p in primes
         )
     violations.sort(key=lambda v: v.p)

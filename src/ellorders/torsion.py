@@ -21,9 +21,9 @@ from .curve import CurveQ, integral_model, invariants, quadratic_twist
 from .errors import DataIntegrityError, InputError, ResourceError, UnsupportedPrimeError
 from .reduction import (
     BadReductionError,
-    _exact_order,
     _fq_pt_add,
     _fq_pt_mul,
+    _order_descent,
     count_at_quadratic_prime,
     count_points_fp,
 )
@@ -262,7 +262,8 @@ def point_order(p: int, c: CurveQ, P) -> int:
     P = _lift(P, ai, p)
     if P is None:
         return 1
-    return _exact_order(P, ai, p, 0, count_points_fp(c, p).count)
+    return _order_descent(P, count_points_fp(c, p).count,
+                          lambda A, B: _fq_pt_add(A, B, ai, p, 0))
 
 
 # ---------------------------------------------------------------------------

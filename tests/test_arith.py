@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellorders.arith import (
+    _strong_lucas,
     divisors,
     factorize,
     is_prime,
@@ -53,6 +55,45 @@ class TestPrimes:
 
     def test_empty(self):
         assert primes_in_range(24, 28) == []
+
+
+# the smallest strong pseudoprimes to every prime base up to 37, and up to 41
+SPSP_37 = 318665857834031151167461  # 399165290221 * 798330580441
+SPSP_41 = 3317044064679887385961981  # 1287836182261 * 2575672364521
+
+
+class TestIsPrimeBeyondMillerRabin:
+    def test_strong_pseudoprimes_are_composite(self):
+        assert not is_prime(SPSP_37)
+        assert not is_prime(SPSP_41)
+        assert SPSP_41 == 1287836182261 * 2575672364521
+
+    def test_factorize_refuses_the_pseudoprime(self):
+        with pytest.raises(ResourceError):
+            factorize(SPSP_41)
+
+    def test_strong_lucas_pseudoprimes_below_20000(self):
+        # composites passing the strong Lucas test with Selfridge's
+        # parameters (OEIS A217255), among n with no prime factor below 41
+        sympy = pytest.importorskip("sympy")
+        small = [q for q in range(2, 41) if sympy.isprime(q)]
+        passing = [n for n in range(43, 20000, 2)
+                   if all(n % q for q in small) and _strong_lucas(n)]
+        assert [n for n in passing if not sympy.isprime(n)] == [
+            5459, 5777, 10877, 16109, 18971]
+        assert [n for n in passing if sympy.isprime(n)] == [
+            n for n in range(43, 20000, 2)
+            if all(n % q for q in small) and sympy.isprime(n)]
+
+    def test_agrees_with_sympy_on_large_numbers(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(20240)
+        cases = [SPSP_37, SPSP_41]
+        for _ in range(200):
+            p = sympy.nextprime(rng.randrange(10**23, 10**40))
+            q = sympy.nextprime(rng.randrange(10**11, 10**14))
+            cases += [p, p * q, q * q * q, p * p, rng.randrange(10**23, 10**40) | 1]
+        assert [is_prime(n) for n in cases] == [sympy.isprime(n) for n in cases]
 
 
 class TestLegendre:

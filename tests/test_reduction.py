@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellorders import reduction
 from ellorders.arith import legendre, primes_in_range, sqrt_mod
 from ellorders.curve import (
     QuadInt,
+    _invariant_kernel,
     curve,
     curve_K,
     e1k,
@@ -19,6 +21,7 @@ from ellorders.curve import (
 )
 from ellorders.errors import (
     BadReductionError,
+    DataIntegrityError,
     InputError,
     ResourceError,
     SingularModelError,
@@ -29,9 +32,13 @@ from ellorders.reduction import (
     ReductionType,
     SplitKind,
     _count_model_mod_p,
+    _finder_rng,
+    _fp_finder_count,
     _fq_enumerate,
+    _fq_finder_count,
     _fq_group_order,
-    _fq_twist,
+    _fq_mul,
+    _window_multiple,
     count_at_quadratic_prime,
     count_curveK_at_prime,
     count_extension,
@@ -328,7 +335,14 @@ class TestCurveKCounts:
 
                 n = _fq_enumerate((red(inv.b2), red(inv.b4), red(inv.b6)), p, r)
                 assert count_curveK_at_prime(ck, p) == [n]
-                _, _, _, a4, a6 = _fq_twist((red(inv.c4), red(inv.c6)), p, r)
+                # E: y^2 = x^3 - c4/48 x - c6/864; its twist by a nonsquare
+                # g of F_{p^2}, one whose norm u^2 - r is a nonresidue
+                g = next((u, 1) for u in range(p) if legendre(u * u - r, p) == -1)
+                g2 = _fq_mul(g, g, p, r)
+                a4 = _fq_mul(red(-inv.c4), g2, p, r)
+                a6 = _fq_mul(red(-inv.c6), _fq_mul(g2, g, p, r), p, r)
+                a4 = _fq_mul(a4, (pow(48, -1, p), 0), p, r)
+                a6 = _fq_mul(a6, (pow(864, -1, p), 0), p, r)
                 # the twist is short: b2 = 0, b4 = 2 a4, b6 = 4 a6
                 tw = ((0, 0), (2 * a4[0] % p, 2 * a4[1] % p),
                       (4 * a6[0] % p, 4 * a6[1] % p))
@@ -344,3 +358,90 @@ class TestCurveKCounts:
             count_curveK_at_prime(everywhere_good_33(), 3)
         with pytest.raises(UnsupportedPrimeError):
             count_curveK_at_prime(everywhere_good_33(), 2)
+
+
+def _table_count(ai, p, monkeypatch):
+    """The numpy residue table's count, whatever the crossover."""
+    with monkeypatch.context() as m:
+        m.setattr(reduction, "_FINDER_CROSSOVER", 10**9)
+        return _count_model_mod_p(ai, p)
+
+
+def _reduce_quad(p):
+    inv2 = pow(2, p - 2, p)
+
+    def red(z):
+        u, v = z.doubled()
+        return ((u * inv2) % p, (v * inv2) % p)
+
+    return red
+
+
+class TestOrderFinder:
+    # j = 0 and j = 1728 (supersingular at half the primes), full rational
+    # 2-torsion, and the first density curve
+    CURVES = ((0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 1, 0, -2, 0), (1, 1, 0, -700, 34000))
+
+    def test_fp_finder_matches_table(self, monkeypatch):
+        # every good p from Mestre's bound to 10^3, and every good p in a
+        # window above the crossover, where _count_model_mod_p uses it
+        cross = reduction._FINDER_CROSSOVER
+        primes = primes_in_range(230, 1000) + primes_in_range(cross + 1, cross + 2000)
+        supersingular = 0
+        for ai in self.CURVES:
+            _, _, _, _, c4, c6, disc = _invariant_kernel(ai)
+            for p in primes:
+                if disc % p == 0:
+                    continue
+                want = _table_count(ai, p, monkeypatch)
+                got = _fp_finder_count(c4, c6, p, _finder_rng(p, ai))
+                assert got == want, (ai, p)
+                if p > cross:
+                    assert _count_model_mod_p(ai, p) == want
+                supersingular += want == p + 1
+        assert supersingular > 200
+
+    def test_fq_finder_matches_enumeration(self):
+        # every inert p from 11 to the old enumeration cutoff 211
+        for ck in (everywhere_good_6(), everywhere_good_33()):
+            inv = invariants_K(ck)
+            for p in primes_in_range(11, 211):
+                if splitting(ck.d, p).kind is not SplitKind.INERT:
+                    continue
+                red, r = _reduce_quad(p), ck.d % p
+                want = _fq_enumerate((red(inv.b2), red(inv.b4), red(inv.b6)), p, r)
+                got = _fq_finder_count((red(inv.c4), red(inv.c6)), p, r,
+                                       _finder_rng(p, (p,)))
+                assert got == want, (ck.d, p)
+                assert count_curveK_at_prime(ck, p) == [want]
+
+    def test_fallbacks_return_the_oracle_values(self, monkeypatch):
+        ai = self.CURVES[3]
+        p = primes_in_range(reduction._FINDER_CROSSOVER + 1, 10**5)[0]
+        want = _table_count(ai, p, monkeypatch)
+        ck = everywhere_good_6()
+        inv, q, red = invariants_K(ck), 229, _reduce_quad(229)
+        assert splitting(6, q).kind is SplitKind.INERT
+        b246 = (red(inv.b2), red(inv.b4), red(inv.b6))
+        args = (tuple(red(a) for a in ck.ainvs), q, 6, b246,
+                (red(inv.c4), red(inv.c6)))
+        want_q = _fq_enumerate(b246, q, 6)
+        monkeypatch.setattr(reduction, "_FINDER_DRAWS", 0)
+        _, _, _, _, c4, c6, _ = _invariant_kernel(ai)
+        assert _fp_finder_count(c4, c6, p, _finder_rng(p, ai)) is None
+        assert _count_model_mod_p(ai, p) == want
+        assert _fq_group_order(*args) == want_q
+
+    def test_window_without_annihilator_raises(self):
+        # the cyclic group Z/1000, a as (min(a, -a), a) so that x(-P) = x(P);
+        # no multiple of 1000 lies in the window [1100, 1200]
+        def pt(a):
+            a %= 1000
+            return None if a == 0 else (min(a, 1000 - a), a)
+
+        def add(P, Q):
+            return pt((P[1] if P else 0) + (Q[1] if Q else 0))
+
+        assert _window_multiple(pt(3), 900, 1100, add) % 1000 == 0
+        with pytest.raises(DataIntegrityError):
+            _window_multiple(pt(3), 1100, 1200, add)

@@ -39,6 +39,8 @@ from ellorders.survey import (
 from ellorders.torsion import point_order, torsion_over_Q
 
 SIX_CURVE = [0, 0, 0, -12, -11]  # bad at 2,3,5; counts land in {0,6} mod 12
+# the same curve on a model scaled by u = 1/7: not minimal at the good prime 7
+SCALED_SIX_CURVE = [0, 0, 0, -12 * 7**4, -11 * 7**6]
 Z10_CURVE = [1, 1, 0, -700, 34000]  # Z/2 over Q, Z/10 over Q(sqrt 5)
 SEVENTEEN = [1, -1, 1, -1, -14]  # conductor 17, Z/4
 
@@ -130,6 +132,16 @@ class TestCongruenceSurvey:
     def test_parallel_determinism(self):
         assert _twelve_twenty_table(X=5000) == _twelve_twenty_table(X=5000, workers=3)
 
+    def test_non_minimal_model_gives_the_same_table(self):
+        # scaled by u = 1/7, so 7 divides the model's discriminant, yet the
+        # curve has good reduction there; 7 must land in the cell of N_7 = 6
+        spec = SurveySpec(12, 3, 200)
+        t = congruence_survey(curve(SCALED_SIX_CURVE), spec)
+        base = congruence_survey(curve(SIX_CURVE), spec)
+        assert t.ainvs != base.ainvs
+        assert (t.rows, t.primes_by_cell) == (base.rows, base.primes_by_cell)
+        assert 7 in t.primes_by_cell[(1, 6)]
+
 
 class TestVerifyExpected:
     def test_pass(self):
@@ -148,6 +160,14 @@ class TestVerifyExpected:
         assert first.observed == 6
         assert first.count % 12 == 6
         assert first.count == count_points_fp(curve(SIX_CURVE), 23).count
+
+    def test_recount_on_non_minimal_model(self):
+        spec = SurveySpec(12, 3, 200)
+        t = congruence_survey(curve(SCALED_SIX_CURVE), spec)
+        rep = verify_expected(t, ExpectedTable(12, 3, {1: frozenset({0}),
+                                                       2: frozenset({0, 6})}))
+        v = next(v for v in rep.violations if v.p == 7)
+        assert v.count == count_points_fp(curve(SIX_CURVE), 7).count == 6
 
     def test_missing_row_is_violation(self):
         rows = dict(_twelve_twenty_expected().rows)
