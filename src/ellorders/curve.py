@@ -8,6 +8,7 @@ sequence so singular models can still be inspected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -444,8 +445,13 @@ class CurveK:
         ds = {a.d for a in self.ainvs}
         if len(ds) != 1:
             raise InputError(f"coefficients from different fields: {sorted(ds)}")
-        if invariants_K(self).disc.is_zero():
+        if self._invariants.disc.is_zero():
             raise SingularModelError("singular model over the quadratic field")
+
+    @cached_property
+    def _invariants(self) -> InvariantsK:
+        # computed once per curve: scans over many primes ask for it at each
+        return InvariantsK(*_invariant_kernel(self.ainvs))
 
     @property
     def ainvs(self):
@@ -480,7 +486,7 @@ class InvariantsK:
 
 
 def invariants_K(c: CurveK) -> InvariantsK:
-    return InvariantsK(*_invariant_kernel(c.ainvs))
+    return c._invariants
 
 
 def everywhere_good_33() -> CurveK:

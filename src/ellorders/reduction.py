@@ -7,6 +7,8 @@ the count of the reduced singular curve, which is what the gcd and survey
 layers want.  At odd p a numpy residue table counts singular reductions and
 small p; above a crossover, and over F_{p^2} from p = 11 on, a Shanks-Mestre
 order finder counts good reductions in about O(q^(1/4)) group operations.
+It never computes a point order: each drawn point gives the set of Hasse
+window numbers that annihilate it, and their intersection pins |E|.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ from .errors import (
 COUNT_CEILING = 10**7
 
 # Good F_p counts above this prime use the order finder, below it the numpy
-# table: near 5000 the two cost the same per call (about 0.11 ms on a 2-vCPU
+# table: near 2500 the two cost the same per call (about 0.09 ms on a 2-vCPU
 # Xeon, CPython 3.11, numpy 2.4).  Never below Mestre's bound 229.
-_FINDER_CROSSOVER = 5000
+_FINDER_CROSSOVER = 2500
 
 # Points an order finder draws before its caller falls back to its oracle.
 _FINDER_DRAWS = 40
@@ -619,52 +621,44 @@ def _fp_add(pt1, pt2, a4, p):
     return (x3, (lam * (x1 - x3) - y1) % p)
 
 
-def _window_multiple(pt, lo, hi, add):
-    """Some k > 0 with k*pt = O, by baby-step giant-step over [lo, hi].
+def _window_annihilators(pt, lo, hi, add):
+    """{k in [lo, hi] : k*pt = O}, by one baby-step giant-step pass.
 
-    Baby steps store x(j pt) for j = 1..m, which stands for -j pt as well,
-    so each giant step g = k pt covers k - m..k + m.  A baby step at the
-    identity ends the search early: j itself annihilates pt.
+    Baby steps j pt run j = 1..m+1.  Two points with one x are equal or
+    opposite, so the first identity at j, or x(i pt) = x(j pt) with i < j,
+    gives the order o = j, or o = i + j: every o <= 2m + 1 shows here, and
+    the set is the window's multiples of o.  Otherwise o >= 2m + 2, so a
+    giant interval k - m..k + m holds at most one annihilator, and
+    g = k pt finds it: g = O is k itself, and g = +-j pt, told apart by y,
+    is k -+ j.
     """
     m = math.isqrt((hi - lo) // 2) + 1
-    baby = {}
-    cur = pt
-    for j in range(1, m + 1):
+    baby, cur, o = {}, pt, None
+    for j in range(1, m + 2):
         if cur is None:
-            return j
-        baby.setdefault(cur[0], (j, cur[1]))
-        mpt, cur = cur, add(cur, pt)
-    step = add(mpt, mpt)
+            o = j
+            break
+        if cur[0] in baby:
+            o = baby[cur[0]][0] + j
+            break
+        if j <= m:
+            baby[cur[0]] = (j, cur[1])
+            mpt, cur = cur, add(cur, pt)
+    if o is not None:
+        return range(lo + (-lo) % o, hi + 1, o)
+    step = add(mpt, cur)  # (2m + 1) pt, from m pt and (m + 1) pt
+    found = []
     k = lo + m
     g = _mul(k, pt, add)
     while k - m <= hi:
         if g is None:
-            return k
-        hit = baby.get(g[0])
-        if hit is not None:
-            j, y = hit
-            return k - j if y == g[1] else k + j
+            found.append(k)
+        elif g[0] in baby:
+            j, y = baby[g[0]]
+            found.append(k - j if y == g[1] else k + j)
         g = add(g, step)
-        k += 2 * m
-    raise DataIntegrityError("no annihilating multiple found in the Hasse window")
-
-
-def _order_descent(pt, k, add):
-    """Exact order of pt from a multiple k of it.
-
-    For each prime power l^e of k, one scalar multiple (k / l^e) pt, then
-    multiplications by l until it reaches the identity.  The e-th would
-    reach it by the choice of k, so it is never made.
-    """
-    order = 1
-    for ell, e in factorize(k).items():
-        cur = _mul(k // ell**e, pt, add)
-        while cur is not None and e:
-            order *= ell
-            e -= 1
-            if e:
-                cur = _mul(ell, cur, add)
-    return order
+        k += 2 * m + 1
+    return [n for n in found if lo <= n <= hi]
 
 
 def _finder_rng(p, coeffs):
@@ -676,33 +670,38 @@ def _finder_rng(p, coeffs):
 
 
 def _order_finder(q, draw, rng):
-    """|E(F_q)| from exact point orders on E and on its quadratic twist E'.
+    """|E(F_q)| from the annihilator sets of points on E and on its twist E'.
 
     draw(rng) gives None or (pt, twisted, add): a point on E, or on E' when
-    twisted, with the group law it lives on.  A point order divides |E| or
-    |E'| = 2q + 2 - |E|.  So |E| lies in the Hasse window, the lcm L of the
-    orders on E divides it, and the lcm L' of those on E' divides 2q + 2 - |E|.
-    The first time one number in the window passes both, it is |E|.  For
-    prime q > 229 one of E, E' has a point that pins it (Mestre); L and L'
-    pin it for every q > 49 (Cremona and Sutherland, JTNB 22, 2010).  None
-    after _FINDER_DRAWS draws, and the caller falls back to its oracle.
+    twisted, with the group law it lives on.  |E| lies in the Hasse window,
+    is annihilated by every point of E, and |E'| = 2q + 2 - |E| by every
+    point of E'.  So each draw narrows the candidates to those whose
+    (twist-mapped) value is in the point's annihilator set, which is the
+    lcm test on the orders written as sets.  The first time one candidate
+    is left, it is |E|.  For prime q > 229 one of E, E' has a point that
+    pins it (Mestre); E and E' together pin it for every q > 49 (Cremona
+    and Sutherland, JTNB 22, 2010).  None after _FINDER_DRAWS draws, and
+    the caller falls back to its oracle.
     """
     t = math.isqrt(4 * q)
     lo, hi = q + 1 - t, q + 1 + t
-    lcms = [1, 1]  # on E, on E'
+    cands = range(lo, hi + 1)
     for _ in range(_FINDER_DRAWS):
         drawn = draw(rng)
         if drawn is None:
             continue
         pt, twisted, add = drawn
-        o = _order_descent(pt, _window_multiple(pt, lo, hi, add), add)
-        lcms[twisted] = math.lcm(lcms[twisted], o)
-        L, Lt = lcms
-        step, target = (L, 0) if L >= Lt else (Lt, 2 * q + 2)
-        cands = [n for n in range(lo + (target - lo) % step, hi + 1, step)
-                 if n % L == 0 and (2 * q + 2 - n) % Lt == 0]
+        if twisted:
+            s = 2 * q + 2
+            ns = [s - k for k in _window_annihilators(pt, s - hi, s - lo, add)]
+        else:
+            ns = _window_annihilators(pt, lo, hi, add)
+        cands = {n for n in ns if n in cands}
         if len(cands) == 1:
-            return cands[0]
+            return cands.pop()
+        if not cands:
+            raise DataIntegrityError(f"no group order in the Hasse window of {q}")
+        lo, hi = min(cands), max(cands)
     return None
 
 

@@ -23,7 +23,7 @@ from .reduction import (
     BadReductionError,
     _fq_pt_add,
     _fq_pt_mul,
-    _order_descent,
+    _mul,
     count_at_quadratic_prime,
     count_points_fp,
 )
@@ -254,6 +254,24 @@ def ec_add(p: int, c: CurveQ, P, Q):
 def ec_mul(p: int, c: CurveQ, n: int, P):
     ai = _good_model(c, p)
     return _project(_fq_pt_mul(n, _lift(P, ai, p), ai, p, 0))
+
+
+def _order_descent(pt, k, add):
+    """Exact order of pt from a multiple k of it.
+
+    For each prime power l^e of k, one scalar multiple (k / l^e) pt, then
+    multiplications by l until it reaches the identity.  The e-th would
+    reach it by the choice of k, so it is never made.
+    """
+    order = 1
+    for ell, e in factorize(k).items():
+        cur = _mul(k // ell**e, pt, add)
+        while cur is not None and e:
+            order *= ell
+            e -= 1
+            if e:
+                cur = _mul(ell, cur, add)
+    return order
 
 
 def point_order(p: int, c: CurveQ, P) -> int:

@@ -38,7 +38,8 @@ from ellorders.reduction import (
     _fq_finder_count,
     _fq_group_order,
     _fq_mul,
-    _window_multiple,
+    _order_finder,
+    _window_annihilators,
     count_at_quadratic_prime,
     count_curveK_at_prime,
     count_extension,
@@ -383,10 +384,11 @@ class TestOrderFinder:
     CURVES = ((0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 1, 0, -2, 0), (1, 1, 0, -700, 34000))
 
     def test_fp_finder_matches_table(self, monkeypatch):
-        # every good p from Mestre's bound to 10^3, and every good p in a
-        # window above the crossover, where _count_model_mod_p uses it
+        # every good p from Mestre's bound to 5000, the crossover before the
+        # finder stopped computing point orders, and at least 2000 above the
+        # crossover, where _count_model_mod_p uses it
         cross = reduction._FINDER_CROSSOVER
-        primes = primes_in_range(230, 1000) + primes_in_range(cross + 1, cross + 2000)
+        primes = primes_in_range(230, max(5000, cross + 2000))
         supersingular = 0
         for ai in self.CURVES:
             _, _, _, _, c4, c6, disc = _invariant_kernel(ai)
@@ -433,15 +435,34 @@ class TestOrderFinder:
         assert _fq_group_order(*args) == want_q
 
     def test_window_without_annihilator_raises(self):
-        # the cyclic group Z/1000, a as (min(a, -a), a) so that x(-P) = x(P);
-        # no multiple of 1000 lies in the window [1100, 1200]
-        def pt(a):
-            a %= 1000
-            return None if a == 0 else (min(a, 1000 - a), a)
+        # a point of order 1000 drawn at q = 1150, whose Hasse window
+        # [1084, 1218] holds no multiple of 1000
+        def draw(rng):
+            return _toy_point(1000, 3), False, _toy_add(1000)
 
-        def add(P, Q):
-            return pt((P[1] if P else 0) + (Q[1] if Q else 0))
-
-        assert _window_multiple(pt(3), 900, 1100, add) % 1000 == 0
         with pytest.raises(DataIntegrityError):
-            _window_multiple(pt(3), 1100, 1200, add)
+            _order_finder(1150, draw, random.Random(0))
+
+    def test_window_annihilators_match_brute_force(self):
+        # for a window width w the baby steps run to m + 1, m = isqrt(w // 2) + 1:
+        # orders up to m + 1 end at an identity, the even 2j <= 2m and the
+        # odd i + j <= 2m + 1 at an x collision, and 2m + 2 and up go to the
+        # giant steps; orders to 420 cover all of them for every width here
+        for width in (0, 1, 2, 3, 5, 8, 31, 64, 127, 200, 301, 333):
+            for o in range(1, 421):
+                g, add = _toy_point(o, 1), _toy_add(o)
+                for lo in (1, o, 3 * o - 1, 997):
+                    hi = lo + width
+                    want = [k for k in range(lo, hi + 1) if k % o == 0]
+                    got = sorted(_window_annihilators(g, lo, hi, add))
+                    assert got == want, (o, lo, hi)
+
+
+def _toy_point(n, a):
+    """a in the cyclic group Z/n as (min(a, -a), a), so that x(-P) = x(P)."""
+    a %= n
+    return None if a == 0 else (min(a, n - a), a)
+
+
+def _toy_add(n):
+    return lambda P, Q: _toy_point(n, (P[1] if P else 0) + (Q[1] if Q else 0))
