@@ -26,10 +26,13 @@ from .errors import (
     BadReductionError,
     DataIntegrityError,
     InputError,
+    ResourceError,
     UnsupportedPrimeError,
 )
 from .reduction import (
+    COUNT_CEILING,
     ReductionType,
+    _count_chunk,
     _count_model_mod_p,
     _local_data_ints,
     count_curveK_at_prime,
@@ -168,11 +171,9 @@ def _count_good(ai, disc, p):
 
 def _scan_chunk(args):
     ai, m, N, primes = args
-    disc = _invariant_kernel(ai)[6]
     rows = {}
     cells = {}
-    for p in primes:
-        n = _count_good(ai, disc, p)
+    for p, n in zip(primes, _count_chunk(ai, primes)):
         s, t = p % N, n % m
         rows.setdefault(s, {})
         rows[s][t] = rows[s].get(t, 0) + 1
@@ -201,8 +202,13 @@ def congruence_survey(c: CurveQ, spec: SurveySpec, workers: int = 1) -> Congruen
 
     Excluded primes: the bad ones, divisors of 2 m N, and anything the
     spec adds on top.  Chunks are a fixed 2048 primes wide, so the merged
-    table is identical for every worker count.
+    table is identical for every worker count.  A bound above COUNT_CEILING
+    is refused before any prime is sieved or counted.
     """
+    if spec.X > COUNT_CEILING:
+        raise ResourceError(
+            f"survey bound {spec.X} exceeds the point count ceiling {COUNT_CEILING}"
+        )
     skip = set(spec.exclusions) | set(bad_primes(c))
     skip |= set(factorize(2 * spec.m * spec.N))
     ps = [p for p in primes_in_range(2, spec.X) if p not in skip]

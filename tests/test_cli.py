@@ -243,6 +243,14 @@ class TestScanCeiling:
                      "--max-prime", "1000")
         assert res.exit_code == 3
 
+    def test_survey_above_count_ceiling_exits_at_once(self, runner):
+        t0 = time.perf_counter()
+        res = invoke(runner, "survey", "--curve", "[0,0,0,-12,-11]", "--mod", "10",
+                     "--class-mod", "5", "--max-prime", str(10**7 + 1))
+        assert res.exit_code == 3
+        assert "ceiling" in res.stderr
+        assert time.perf_counter() - t0 < 1.0
+
     def test_under_ceiling_still_runs(self, runner, monkeypatch):
         monkeypatch.setenv("ELLORDERS_SCAN_CEILING", "5000")
         res = invoke(runner, "gcd", "--curve", "[1,-1,1,-199,510]",

@@ -31,6 +31,7 @@ from ellorders.reduction import (
     Kodaira,
     ReductionType,
     SplitKind,
+    _count_chunk,
     _count_model_mod_p,
     _finder_rng,
     _fp_finder_count,
@@ -38,6 +39,7 @@ from ellorders.reduction import (
     _fq_finder_count,
     _fq_group_order,
     _fq_mul,
+    _lane_round,
     _order_finder,
     _window_annihilators,
     count_at_quadratic_prime,
@@ -50,6 +52,7 @@ from ellorders.reduction import (
     splitting,
     twist_count_identity_check,
 )
+from ellorders.survey import _scan_chunk
 
 
 class TestLocalData:
@@ -456,6 +459,73 @@ class TestOrderFinder:
                     want = [k for k in range(lo, hi + 1) if k % o == 0]
                     got = sorted(_window_annihilators(g, lo, hi, add))
                     assert got == want, (o, lo, hi)
+
+
+class TestLaneFinder:
+    @staticmethod
+    def _pinned(monkeypatch):
+        """Spy on the lane rounds: [lanes, lanes pinned] over every round."""
+        seen = [0, 0]
+        real = reduction._lane_round
+
+        def spy(*args):
+            got = real(*args)
+            seen[0] += len(got)
+            seen[1] += sum(n is not None for n in got)
+            return got
+
+        monkeypatch.setattr(reduction, "_lane_round", spy)
+        return seen
+
+    def test_chunk_matches_table_above_crossover(self, monkeypatch):
+        cross = reduction._FINDER_CROSSOVER
+        wants = {}
+        for ai in TestOrderFinder.CURVES:
+            disc = _invariant_kernel(ai)[6]
+            primes = [p for p in primes_in_range(cross + 1, cross + 2000) if disc % p]
+            wants[ai] = primes, [_table_count(ai, p, monkeypatch) for p in primes]
+        seen = self._pinned(monkeypatch)
+        for ai, (primes, want) in wants.items():
+            assert _count_chunk(ai, primes) == want, ai
+        assert seen[1] > 0.8 * sum(len(ps) for ps, _ in wants.values())
+
+    def test_chunk_matches_scalar_finder_near_count_ceiling(self, monkeypatch):
+        ai = TestOrderFinder.CURVES[3]
+        *_, c4, c6, disc = _invariant_kernel(ai)
+        top = reduction.COUNT_CEILING
+        primes = [p for p in primes_in_range(top - 10**4, top) if disc % p]
+        assert len(primes) > 600
+        want = [_fp_finder_count(c4, c6, p, _finder_rng(p, ai)) for p in primes]
+        seen = self._pinned(monkeypatch)
+        assert _count_chunk(ai, primes) == want
+        assert seen[1] > 0.9 * len(primes)
+
+    def test_chunk_refuses_primes_above_count_ceiling(self):
+        with pytest.raises(ResourceError):
+            _count_chunk(TestOrderFinder.CURVES[3], [10**7 + 19])
+
+    def test_scan_chunk_unchanged_when_no_lane_is_pinned(self, monkeypatch):
+        # the scalar path alone must give the same table, bad primes and a
+        # non-minimal one included: 7 is good on this model scaled by u = 1/7
+        for ai in (TestOrderFinder.CURVES[3], (0, 0, 0, -12 * 7**4, -11 * 7**6)):
+            job = (ai, 12, 5, primes_in_range(2, 9000))
+            want = _scan_chunk(job)
+            with monkeypatch.context() as m:
+                m.setattr(reduction, "_lane_round", lambda ps, *_: [None] * len(ps))
+                assert _scan_chunk(job) == want
+
+    def test_empty_window_raises(self, monkeypatch):
+        # a window holding only p + 1 misses |E| at an ordinary prime, so
+        # some lane is left without a candidate; neither finder may return
+        ai = TestOrderFinder.CURVES[3]
+        *_, c4, c6, _ = _invariant_kernel(ai)
+        ps = primes_in_range(3000, 3200)
+        monkeypatch.setattr(reduction, "_hasse_window", lambda q: (q + 1, q + 1))
+        with pytest.raises(DataIntegrityError):
+            _lane_round(ps, [-27 * c4 % p for p in ps], [-54 * c6 % p for p in ps],
+                        random.Random(0))
+        with pytest.raises(DataIntegrityError):
+            _fp_finder_count(c4, c6, 3001, _finder_rng(3001, ai))
 
 
 def _toy_point(n, a):

@@ -1,7 +1,12 @@
 """Scan module: congruence tables, densities, gcd folds, family checks."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +21,8 @@ from ellorders.curve import (
     kubert5,
     quadratic_twist,
 )
-from ellorders.errors import DataIntegrityError, InputError
-from ellorders.reduction import count_points_fp
+from ellorders.errors import DataIntegrityError, InputError, ResourceError
+from ellorders.reduction import COUNT_CEILING, count_points_fp
 from ellorders.survey import (
     CongruenceTable,
     ExpectedTable,
@@ -41,6 +46,8 @@ from ellorders.torsion import point_order, torsion_over_Q
 SIX_CURVE = [0, 0, 0, -12, -11]  # bad at 2,3,5; counts land in {0,6} mod 12
 # the same curve on a model scaled by u = 1/7: not minimal at the good prime 7
 SCALED_SIX_CURVE = [0, 0, 0, -12 * 7**4, -11 * 7**6]
+# scaled by u = 1/2521: 2521 is above the order finder's crossover
+SCALED_2521_SIX_CURVE = [0, 0, 0, -12 * 2521**4, -11 * 2521**6]
 Z10_CURVE = [1, 1, 0, -700, 34000]  # Z/2 over Q, Z/10 over Q(sqrt 5)
 SEVENTEEN = [1, -1, 1, -1, -14]  # conductor 17, Z/4
 
@@ -141,6 +148,38 @@ class TestCongruenceSurvey:
         assert t.ainvs != base.ainvs
         assert (t.rows, t.primes_by_cell) == (base.rows, base.primes_by_cell)
         assert 7 in t.primes_by_cell[(1, 6)]
+
+    def test_non_minimal_model_through_the_lanes(self):
+        spec = SurveySpec(12, 20, 3000)
+        t = congruence_survey(curve(SCALED_2521_SIX_CURVE), spec)
+        base = congruence_survey(curve(SIX_CURVE), spec)
+        assert t.ainvs != base.ainvs
+        assert (t.rows, t.primes_by_cell) == (base.rows, base.primes_by_cell)
+        n = count_points_fp(curve(SIX_CURVE), 2521).count
+        assert 2521 in t.primes_by_cell[(2521 % 20, n % 12)]
+
+    def test_bound_above_count_ceiling_refused_at_once(self):
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceError):
+            congruence_survey(curve(SIX_CURVE), SurveySpec(10, 5, COUNT_CEILING + 1))
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_survey_never_imports_numpy_random(self):
+        # importing numpy.random alone costs several MB of resident memory
+        code = (
+            "import sys\n"
+            "from ellorders.curve import curve\n"
+            "from ellorders.survey import SurveySpec, congruence_survey\n"
+            "congruence_survey(curve([1, 1, 0, -700, 34000]), SurveySpec(10, 5, 5000))\n"
+            "assert 'numpy.random' not in sys.modules, 'numpy.random imported'\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
 
 
 class TestVerifyExpected:
