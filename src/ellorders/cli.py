@@ -1,6 +1,8 @@
 """Command-line front end.
 
-One subcommand per operation; data goes to stdout, diagnostics to stderr.
+One subcommand per operation.  Every report goes to stdout, through _emit,
+as md (the default), csv or json; diagnostics go to stderr.  CSV output is
+RFC 4180-quoted, so a field with a comma or a quote reads back whole.
 Exit codes follow the package convention: 0 success, 1 a verification found
 violations, 2 usage, 3 resource or network trouble.  Reports depend only on
 the flags, so identical invocations give identical bytes.
@@ -8,7 +10,9 @@ the flags, so identical invocations give identical bytes.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import json
 import os
 import sys
@@ -131,18 +135,53 @@ def _md_table(headers, rows) -> str:
     lines = ["| " + " | ".join(headers) + " |"]
     lines.append("|" + "|".join("---" for _ in headers) + "|")
     for row in rows:
-        lines.append("| " + " | ".join(str(x) for x in row) + " |")
+        cells = ("" if x is None else str(x) for x in row)
+        lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines)
 
 
 def _csv(headers, rows) -> str:
-    lines = [",".join(headers)]
-    lines.extend(",".join(str(x) for x in row) for row in rows)
-    return "\n".join(lines)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(headers)
+    writer.writerows(rows)
+    return buf.getvalue().removesuffix("\n")
 
 
-def _emit_json(payload: dict):
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
+def _table(fmt, headers, rows) -> str:
+    return (_csv if fmt == "csv" else _md_table)(headers, rows)
+
+
+def _emit(fmt, payload, headers=(), rows=(), lines=(), tail=()):
+    """Write one report to stdout.
+
+    json writes the payload; md and csv write the prose lines, then the
+    table when there are headers, then the tail lines.
+    """
+    if fmt == "json":
+        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        return
+    out = list(lines)
+    if headers:
+        out.append(_table(fmt, headers, rows))
+    out.extend(tail)
+    click.echo("\n".join(out))
+
+
+def _emit_record(fmt, payload, pairs):
+    """A report of (key, value) pairs: "key: value" lines, or a csv table."""
+    if fmt == "csv":
+        _emit(fmt, payload, ("key", "value"), pairs)
+    else:
+        _emit(fmt, payload, lines=[f"{k}: {v}" for k, v in pairs])
+
+
+def _payload(command, ainvs=None, **fields) -> dict:
+    """A command's JSON report: its schema, its curve when it has one, fields."""
+    payload = {"schema": f"ellorders.{command}/1", **fields}
+    if ainvs is not None:
+        payload["curve"] = [str(a) for a in ainvs]
+    return payload
 
 
 def _structure_str(pair) -> str:
@@ -181,24 +220,31 @@ def guarded(fn):
     return wrapper
 
 
-def _curve_options(fn):
-    fn = click.option("--curve", "curve_text", default=None,
-                      help="coefficients, e.g. \"[0,0,0,-12,-11]\"")(fn)
-    fn = click.option("--label", default=None, help="curve label to resolve")(fn)
-    fn = click.option("--family", default=None,
-                      type=click.Choice(sorted(_FAMILY_PARAM)),
-                      help="parametrized family name")(fn)
-    fn = click.option("--t", default=None, help="family parameter")(fn)
-    fn = click.option("--offline", is_flag=True, help="never touch the network")(fn)
-    fn = click.option("--cache-dir", default=None, type=click.Path(),
-                      help="curve cache directory")(fn)
-    return fn
-
-
 def _format_option(fn):
     return click.option("--format", "fmt", default="md",
                         type=click.Choice(["md", "csv", "json"]),
                         help="output format")(fn)
+
+
+def _curve_command(fn):
+    """The curve options, --format and guarded; fn gets the loaded curve c."""
+
+    @functools.wraps(fn)
+    def wrapper(curve_text, label, family, t, offline, cache_dir, **kwargs):
+        c = _load_curve(curve_text, label, family, t, offline, cache_dir)
+        return fn(c, **kwargs)
+
+    cmd = _format_option(guarded(wrapper))
+    cmd = click.option("--curve", "curve_text", default=None,
+                       help="coefficients, e.g. \"[0,0,0,-12,-11]\"")(cmd)
+    cmd = click.option("--label", default=None, help="curve label to resolve")(cmd)
+    cmd = click.option("--family", default=None,
+                       type=click.Choice(sorted(_FAMILY_PARAM)),
+                       help="parametrized family name")(cmd)
+    cmd = click.option("--t", default=None, help="family parameter")(cmd)
+    cmd = click.option("--offline", is_flag=True, help="never touch the network")(cmd)
+    return click.option("--cache-dir", default=None, type=click.Path(),
+                        help="curve cache directory")(cmd)
 
 
 @click.group()
@@ -207,14 +253,11 @@ def main():
 
 
 @main.command()
-@_curve_options
-@_format_option
+@_curve_command
 @click.option("--max-prime", default=100, show_default=True,
               help="scan primes up to this bound")
-@guarded
-def count(curve_text, label, family, t, offline, cache_dir, fmt, max_prime):
+def count(c, fmt, max_prime):
     """Point counts of the reductions at primes up to the bound."""
-    c = _load_curve(curve_text, label, family, t, offline, cache_dir)
     _checked_bound(max_prime)
     bad = bad_primes(c)
     rows = []
@@ -225,75 +268,42 @@ def count(curve_text, label, family, t, offline, cache_dir, fmt, max_prime):
         else:
             pc = count_points_fp(c, p)
             rows.append((p, "good", pc.count, pc.trace))
-    if fmt == "json":
-        _emit_json({
-            "schema": "ellorders.count/1",
-            "curve": [str(a) for a in c.ainvs],
-            "max_prime": max_prime,
-            "rows": [
-                {"p": p, "reduction": r, "points": n, "trace": a}
-                for p, r, n, a in rows
-            ],
-        })
-        return
-    shown = [(p, r, n, "" if a is None else a) for p, r, n, a in rows]
-    if fmt == "csv":
-        click.echo(_csv(["p", "reduction", "points", "trace"], shown))
-    else:
-        click.echo(_md_table(["p", "reduction", "points", "trace"], shown))
+    headers = ("p", "reduction", "points", "trace")
+    _emit(fmt, _payload("count", c.ainvs, max_prime=max_prime,
+                        rows=[dict(zip(headers, row)) for row in rows]),
+          headers, rows)
 
 
 @main.command()
-@_curve_options
-@_format_option
+@_curve_command
 @click.option("--max-prime", default=None, type=int,
               help="only bad primes up to this bound")
-@guarded
-def local(curve_text, label, family, t, offline, cache_dir, fmt, max_prime):
+def local(c, fmt, max_prime):
     """Reduction type and Kodaira data at the bad primes."""
-    c = _load_curve(curve_text, label, family, t, offline, cache_dir)
     ps = sorted(bad_primes(c))
     if max_prime is not None:
         ps = [p for p in ps if p <= max_prime]
-    data = [local_data(c, p) for p in ps]
-    if fmt == "json":
-        _emit_json({
-            "schema": "ellorders.local/1",
-            "curve": [str(a) for a in c.ainvs],
-            "rows": [
-                {
-                    "p": ld.p,
-                    "reduction": ld.rtype.value,
-                    "kodaira": ld.kodaira.label,
-                    "v_disc_min": ld.v_disc_min,
-                    "points": ld.reduced_count,
-                }
-                for ld in data
-            ],
-        })
-        return
     rows = [
         (ld.p, ld.rtype.value, ld.kodaira.label, ld.v_disc_min, ld.reduced_count)
-        for ld in data
+        for ld in (local_data(c, p) for p in ps)
     ]
-    headers = ["p", "reduction", "kodaira", "v_disc_min", "points"]
-    click.echo(_csv(headers, rows) if fmt == "csv" else _md_table(headers, rows))
+    headers = ("p", "reduction", "kodaira", "v_disc_min", "points")
+    _emit(fmt, _payload("local", c.ainvs,
+                        rows=[dict(zip(headers, row)) for row in rows]),
+          headers, rows)
 
 
 @main.command()
-@_curve_options
-@_format_option
+@_curve_command
 @click.option("--d", "d", type=int, required=True, help="field is Q(sqrt d)")
 @click.option("--max-prime", default=100, show_default=True,
               help="rational primes up to this bound")
-@guarded
-def extension(curve_text, label, family, t, offline, cache_dir, fmt, d, max_prime):
+def extension(c, fmt, d, max_prime):
     """Residue-field orders over Q(sqrt d) at odd unramified good primes.
 
     A split prime contributes two places with the same order; the table
     shows it once.
     """
-    c = _load_curve(curve_text, label, family, t, offline, cache_dir)
     _checked_bound(max_prime)
     rows = []
     for p in primes_in_range(3, max_prime):
@@ -305,80 +315,49 @@ def extension(curve_text, label, family, t, offline, cache_dir, fmt, d, max_prim
             continue
         kind = "split" if legendre(d % p, p) == 1 else "inert"
         rows.append((p, kind, n))
-    if fmt == "json":
-        _emit_json({
-            "schema": "ellorders.extension/1",
-            "curve": [str(a) for a in c.ainvs],
-            "d": d,
-            "max_prime": max_prime,
-            "rows": [
-                {"p": p, "splitting": k, "order": n} for p, k, n in rows
-            ],
-        })
-        return
-    headers = ["p", "splitting", "order"]
-    click.echo(_csv(headers, rows) if fmt == "csv" else _md_table(headers, rows))
+    headers = ("p", "splitting", "order")
+    _emit(fmt, _payload("extension", c.ainvs, d=d, max_prime=max_prime,
+                        rows=[dict(zip(headers, row)) for row in rows]),
+          headers, rows)
 
 
 @main.command()
-@_curve_options
-@_format_option
+@_curve_command
 @click.option("--d", "d", type=int, default=None,
               help="also report torsion data over Q(sqrt d)")
 @click.option("--max-prime", default=300, show_default=True,
               help="reduction bound for the quadratic order estimate")
-@guarded
-def torsion(curve_text, label, family, t, offline, cache_dir, fmt, d, max_prime):
+def torsion(c, fmt, d, max_prime):
     """Rational torsion; with --d, torsion data over Q(sqrt d)."""
-    c = _load_curve(curve_text, label, family, t, offline, cache_dir)
     grp = torsion_over_Q(c)
-    quad = None
+    payload = _payload("torsion", c.ainvs, structure=[grp.n1, grp.n2],
+                       order=grp.order,
+                       generators=[[str(x), str(y)] for x, y in grp.generators])
+    pairs = [("torsion over Q", f"{grp} (order {grp.order})")]
+    pairs.extend(("generator", f"({x}, {y})") for x, y in grp.generators)
     if d is not None:
         _checked_bound(max_prime)
-        quad = {
+        quad = payload["quadratic"] = {
             "d": d,
             "odd_order": odd_torsion_over_quadratic(c, d),
             "order_bound": quadratic_torsion_bound(c, d, max_prime),
         }
-    if fmt == "json":
-        payload = {
-            "schema": "ellorders.torsion/1",
-            "curve": [str(a) for a in c.ainvs],
-            "structure": [grp.n1, grp.n2],
-            "order": grp.order,
-            "generators": [[str(x), str(y)] for x, y in grp.generators],
-        }
-        if quad is not None:
-            payload["quadratic"] = quad
-        _emit_json(payload)
-        return
-    lines = [f"torsion over Q: {grp} (order {grp.order})"]
-    for x, y in grp.generators:
-        lines.append(f"generator: ({x}, {y})")
-    if quad is not None:
-        lines.append(f"odd torsion over Q(sqrt {d}): {quad['odd_order']}")
-        lines.append(f"order bound over Q(sqrt {d}): {quad['order_bound']}")
-    if fmt == "csv":
-        click.echo(_csv(["key", "value"],
-                        [ln.split(": ", 1) for ln in lines]))
-    else:
-        click.echo("\n".join(lines))
+        pairs.append((f"odd torsion over Q(sqrt {d})", quad["odd_order"]))
+        pairs.append((f"order bound over Q(sqrt {d})", quad["order_bound"]))
+    _emit_record(fmt, payload, pairs)
 
 
 @main.command()
-@_curve_options
-@_format_option
+@_curve_command
 @click.option("--d", "d", type=int, required=True, help="twisting integer")
 @click.option("--max-prime", default=1000, show_default=True,
               help="check the paired count identity up to this bound")
-@guarded
-def twist(curve_text, label, family, t, offline, cache_dir, fmt, d, max_prime):
+def twist(c, fmt, d, max_prime):
     """Quadratic twist model and the paired count identity.
 
     At odd good primes away from d the counts of the curve and its twist
     agree when d is a square mod p and sum to 2p+2 when it is not.
     """
-    c = _load_curve(curve_text, label, family, t, offline, cache_dir)
     _checked_bound(max_prime)
     tw = quadratic_twist(c, d)
     skip = bad_primes(c) | bad_primes(tw)
@@ -396,182 +375,107 @@ def twist(curve_text, label, family, t, offline, cache_dir, fmt, d, max_prime):
             ok = n + n_tw == 2 * p + 2
         if not ok:
             violations.append((p, n, n_tw))
-    if fmt == "json":
-        _emit_json({
-            "schema": "ellorders.twist/1",
-            "curve": [str(a) for a in c.ainvs],
-            "d": d,
-            "twist": [str(a) for a in tw.ainvs],
-            "max_prime": max_prime,
-            "checked": checked,
-            "violations": [
-                {"p": p, "points": n, "twist_points": m}
-                for p, n, m in violations
-            ],
-        })
-    else:
-        click.echo(f"twist by {d}: {render_curve(tw)}")
-        click.echo(f"checked {checked} primes up to {max_prime}")
-        if violations:
-            headers = ["p", "points", "twist_points"]
-            table = _csv(headers, violations) if fmt == "csv" \
-                else _md_table(headers, violations)
-            click.echo(table)
-        else:
-            click.echo("identity holds at every checked prime")
+    headers = ("p", "points", "twist_points")
+    payload = _payload(
+        "twist", c.ainvs, d=d, twist=[str(a) for a in tw.ainvs],
+        max_prime=max_prime, checked=checked,
+        violations=[dict(zip(headers, row)) for row in violations])
+    lines = [f"twist by {d}: {render_curve(tw)}",
+             f"checked {checked} primes up to {max_prime}"]
+    if not violations:
+        lines.append("identity holds at every checked prime")
+    _emit(fmt, payload, headers if violations else (), violations, lines)
     return 1 if violations else 0
 
 
 @main.command()
-@_curve_options
-@_format_option
+@_curve_command
 @click.option("--mod", "m", type=int, required=True, help="count modulus")
 @click.option("--class-mod", "n", type=int, required=True,
               help="prime-class modulus")
 @click.option("--max-prime", default=1000, show_default=True)
 @click.option("--threads", default=1, show_default=True)
-@guarded
-def survey(curve_text, label, family, t, offline, cache_dir, fmt, m, n,
-           max_prime, threads):
+def survey(c, fmt, m, n, max_prime, threads):
     """Bucket point-count residues against prime classes."""
-    c = _load_curve(curve_text, label, family, t, offline, cache_dir)
     _checked_bound(max_prime)
     table = congruence_survey(c, SurveySpec(m, n, max_prime), workers=threads)
-    if fmt == "json":
-        payload = json.loads(table.as_json())
-        payload["schema"] = "ellorders.survey/1"
-        _emit_json(payload)
-    elif fmt == "csv":
-        click.echo(table.as_csv(), nl=False)
+    payload = {**json.loads(table.as_json()), "schema": "ellorders.survey/1"}
+    if fmt == "csv":
+        # every (p class, count class) cell, as CongruenceTable.as_csv
+        _emit(fmt, payload, ("p_class", "count_class", "primes"), table.cells())
+        return
+    # one row per count residue: the prime classes that hit it, in order
+    by_t = {}
+    for s, tt, cnt in table.cells():
+        by_t.setdefault(tt, []).append((s, cnt))
+    rows = [(tt, ", ".join(str(s) for s, _ in hits), sum(k for _, k in hits))
+            for tt, hits in sorted(by_t.items())]
+    _emit(fmt, payload, (f"count mod {m}", f"p mod {n}", "primes"), rows)
+
+
+def _emit_gcd(fmt, command, c, g, **fields):
+    """The gcd commands: the bare value in md, a one-column table in csv."""
+    payload = _payload(command, c.ainvs, gcd=g, **fields)
+    if fmt == "csv":
+        _emit(fmt, payload, ("gcd",), [(g,)])
     else:
-        # one row per count residue, listing the prime classes that hit it
-        by_t = {}
-        hits = {}
-        for s, tt, cnt in table.cells():
-            by_t.setdefault(tt, set()).add(s)
-            hits[tt] = hits.get(tt, 0) + cnt
-        rows = [
-            (tt, ", ".join(str(s) for s in sorted(by_t[tt])), hits[tt])
-            for tt in sorted(by_t)
-        ]
-        click.echo(_md_table(
-            [f"count mod {m}", f"p mod {n}", "primes"], rows))
+        _emit(fmt, payload, lines=[str(g)])
 
 
 @main.command()
-@_curve_options
-@_format_option
+@_curve_command
 @click.option("--max-prime", default=1000, show_default=True)
-@guarded
-def gcd(curve_text, label, family, t, offline, cache_dir, fmt, max_prime):
+def gcd(c, fmt, max_prime):
     """gcd of reduction orders over all primes up to the bound."""
-    c = _load_curve(curve_text, label, family, t, offline, cache_dir)
     _checked_bound(max_prime)
-    g = gcd_orders(c, max_prime)
-    if fmt == "json":
-        _emit_json({
-            "schema": "ellorders.gcd/1",
-            "curve": [str(a) for a in c.ainvs],
-            "max_prime": max_prime,
-            "gcd": g,
-        })
-    elif fmt == "csv":
-        click.echo(f"gcd\n{g}")
-    else:
-        click.echo(str(g))
+    _emit_gcd(fmt, "gcd", c, gcd_orders(c, max_prime), max_prime=max_prime)
 
 
 @main.command(name="gcd-quadratic")
-@_curve_options
-@_format_option
+@_curve_command
 @click.option("--d", "d", type=int, required=True, help="field is Q(sqrt d)")
 @click.option("--max-prime", default=2000, show_default=True)
-@guarded
-def gcd_quadratic(curve_text, label, family, t, offline, cache_dir, fmt, d,
-                  max_prime):
+def gcd_quadratic(c, fmt, d, max_prime):
     """gcd of residue-field orders over Q(sqrt d)."""
-    c = _load_curve(curve_text, label, family, t, offline, cache_dir)
     _checked_bound(max_prime)
-    g = gcd_orders_quadratic(c, d, max_prime)
-    if fmt == "json":
-        _emit_json({
-            "schema": "ellorders.gcd-quadratic/1",
-            "curve": [str(a) for a in c.ainvs],
-            "d": d,
-            "max_prime": max_prime,
-            "gcd": g,
-        })
-    elif fmt == "csv":
-        click.echo(f"gcd\n{g}")
+    _emit_gcd(fmt, "gcd-quadratic", c, gcd_orders_quadratic(c, d, max_prime),
+              d=d, max_prime=max_prime)
+
+
+def _emit_primes(fmt, command, c, m, max_prime, found):
+    """The prime-list commands; found holds (p, p mod m or None)."""
+    payload = _payload(command, c.ainvs, max_prime=max_prime, mod=m,
+                       primes=[{"p": p, "residue": r} for p, r in found])
+    if m:
+        _emit(fmt, payload, ("p", f"p mod {m}"), found)
     else:
-        click.echo(str(g))
+        _emit(fmt, payload, ("p",), [(p,) for p, _ in found])
 
 
 @main.command()
-@_curve_options
-@_format_option
+@_curve_command
 @click.option("--mod", "m", type=int, default=None,
               help="annotate primes with their class mod this")
 @click.option("--max-prime", default=1000, show_default=True)
-@guarded
-def supersingular(curve_text, label, family, t, offline, cache_dir, fmt, m,
-                  max_prime):
+def supersingular(c, fmt, m, max_prime):
     """Good primes with trace zero."""
-    c = _load_curve(curve_text, label, family, t, offline, cache_dir)
     _checked_bound(max_prime)
     found = scan_supersingular(c, max_prime, moduli=(m,) if m else ())
-    if fmt == "json":
-        _emit_json({
-            "schema": "ellorders.supersingular/1",
-            "curve": [str(a) for a in c.ainvs],
-            "max_prime": max_prime,
-            "mod": m,
-            "primes": [
-                {"p": p, "residue": res[0] if res else None}
-                for p, res in found
-            ],
-        })
-        return
-    if m:
-        headers = ["p", f"p mod {m}"]
-        rows = [(p, res[0]) for p, res in found]
-    else:
-        headers = ["p"]
-        rows = [(p,) for p, _ in found]
-    click.echo(_csv(headers, rows) if fmt == "csv" else _md_table(headers, rows))
+    _emit_primes(fmt, "supersingular", c, m, max_prime,
+                 [(p, res[0] if res else None) for p, res in found])
 
 
 @main.command()
-@_curve_options
-@_format_option
+@_curve_command
 @click.option("--mod", "m", type=int, default=None,
               help="annotate primes with their class mod this")
 @click.option("--max-prime", default=1000, show_default=True)
-@guarded
-def anomalous(curve_text, label, family, t, offline, cache_dir, fmt, m,
-              max_prime):
+def anomalous(c, fmt, m, max_prime):
     """Good primes dividing their own point count."""
-    c = _load_curve(curve_text, label, family, t, offline, cache_dir)
     _checked_bound(max_prime)
     found = scan_anomalous(c, max_prime, modulus=m or 1)
-    if fmt == "json":
-        _emit_json({
-            "schema": "ellorders.anomalous/1",
-            "curve": [str(a) for a in c.ainvs],
-            "max_prime": max_prime,
-            "mod": m,
-            "primes": [
-                {"p": p, "residue": res if m else None} for p, res in found
-            ],
-        })
-        return
-    if m:
-        headers = ["p", f"p mod {m}"]
-        rows = found
-    else:
-        headers = ["p"]
-        rows = [(p,) for p, _ in found]
-    click.echo(_csv(headers, rows) if fmt == "csv" else _md_table(headers, rows))
+    _emit_primes(fmt, "anomalous", c, m, max_prime,
+                 [(p, res if m else None) for p, res in found])
 
 
 @main.command()
@@ -587,31 +491,17 @@ def family(fmt, family, t, max_prime):
     _checked_bound(max_prime)
     params = _parse_params(t)
     report = verify_family(family, params, max_prime)
-    if fmt == "json":
-        _emit_json({
-            "schema": "ellorders.family/1",
-            "family": family,
-            "params": [str(v) for v in params],
-            "max_prime": max_prime,
-            "passed": report.passed,
-            "checked": report.total,
-            "violations": [
-                {"p": v.p, "points": v.count, "residue": v.observed,
-                 "context": v.context}
-                for v in report.violations
-            ],
-        })
-    else:
-        click.echo(f"{family} at t={t}: checked {report.total} prime/parameter "
-                   f"pairs up to {max_prime}")
-        if report.passed:
-            click.echo("divisibility holds everywhere")
-        else:
-            headers = ["p", "points", "residue", "context"]
-            rows = [(v.p, v.count, v.observed, v.context)
-                    for v in report.violations]
-            click.echo(_csv(headers, rows) if fmt == "csv"
-                       else _md_table(headers, rows))
+    headers = ("p", "points", "residue", "context")
+    rows = [(v.p, v.count, v.observed, v.context) for v in report.violations]
+    payload = _payload(
+        "family", family=family, params=[str(v) for v in params],
+        max_prime=max_prime, passed=report.passed, checked=report.total,
+        violations=[dict(zip(headers, row)) for row in rows])
+    lines = [f"{family} at t={t}: checked {report.total} prime/parameter "
+             f"pairs up to {max_prime}"]
+    if report.passed:
+        lines.append("divisibility holds everywhere")
+    _emit(fmt, payload, () if report.passed else headers, rows, lines)
     return 0 if report.passed else 1
 
 
@@ -628,25 +518,17 @@ def kubert_check(fmt, curve_text, t, p):
     """Test a candidate x-coordinate for a point of odd prime order mod p."""
     vec = _int_vector(curve_text)
     verdict = check_kubert_conditions(vec, t, p)
-    if fmt == "json":
-        _emit_json({
-            "schema": "ellorders.kubert-check/1",
-            "curve": [str(a) for a in vec],
-            "x": t,
-            "order": p,
-            "accepted": verdict.accepted,
-            "reason": verdict.reason,
-            "psi_value": verdict.psi_value,
-            "count": verdict.count,
-        })
-    else:
-        click.echo(f"accepted: {'yes' if verdict.accepted else 'no'}")
-        if verdict.reason:
-            click.echo(f"reason: {verdict.reason}")
-        if verdict.psi_value is not None:
-            click.echo(f"division value: {verdict.psi_value}")
-        if verdict.count is not None:
-            click.echo(f"points: {verdict.count}")
+    lines = [f"accepted: {'yes' if verdict.accepted else 'no'}"]
+    if verdict.reason:
+        lines.append(f"reason: {verdict.reason}")
+    if verdict.psi_value is not None:
+        lines.append(f"division value: {verdict.psi_value}")
+    if verdict.count is not None:
+        lines.append(f"points: {verdict.count}")
+    _emit(fmt, _payload("kubert-check", vec, x=t, order=p,
+                        accepted=verdict.accepted, reason=verdict.reason,
+                        psi_value=verdict.psi_value, count=verdict.count),
+          lines=lines)
     return 0 if verdict.accepted else 1
 
 
@@ -659,25 +541,12 @@ def kubert_check(fmt, curve_text, t, p):
 def resolve(fmt, label, offline, cache_dir):
     """Resolve a curve label to coefficients via the cache or resolver."""
     rec = resolve_label(label, offline=offline, cache_dir=cache_dir)
-    c = as_curve(rec)
-    if fmt == "json":
-        _emit_json({
-            "schema": "ellorders.resolve/1",
-            "label": rec.label,
-            "curve": [str(a) for a in rec.a_invariants],
-            "source": rec.source,
-            "notes": list(rec.notes),
-        })
-        return
-    lines = [f"label: {rec.label}",
-             f"curve: {render_curve(c)}",
-             f"source: {rec.source}"]
-    lines.extend(f"note: {note}" for note in rec.notes)
-    if fmt == "csv":
-        click.echo(_csv(["key", "value"],
-                        [ln.split(": ", 1) for ln in lines]))
-    else:
-        click.echo("\n".join(lines))
+    pairs = [("label", rec.label), ("curve", render_curve(as_curve(rec))),
+             ("source", rec.source)]
+    pairs.extend(("note", note) for note in rec.notes)
+    _emit_record(fmt, _payload("resolve", rec.a_invariants, label=rec.label,
+                               source=rec.source, notes=list(rec.notes)),
+                 pairs)
 
 
 # quadratic order bound horizon for the corpus torsion columns
@@ -726,8 +595,6 @@ def _corpus_rows(X, offline, cache_dir, threads):
         out.append({
             "label": rec.label,
             "d": exp.d,
-            "m": exp.table.m,
-            "N": exp.table.N,
             "torsion_q": _structure_str(exp.torsion_Q),
             "torsion_k": _structure_str(exp.torsion_K),
             "primes": table.total,
@@ -772,55 +639,37 @@ def corpus_verify_cmd(fmt, max_prime, offline, cache_dir, threads):
     """Verify every bundled survey row and its torsion columns."""
     _checked_bound(max_prime)
     rows = _corpus_rows(max_prime, offline, cache_dir, threads)
-    passed = all(r["rows_ok"] and r["torsion_ok"] for r in rows)
-    if fmt == "json":
-        _emit_json({
-            "schema": "ellorders.corpus-verify/1",
-            "max_prime": max_prime,
-            "passed": passed,
-            "rows": [
-                {
-                    "label": r["label"],
-                    "d": r["d"],
-                    "torsion_q": r["torsion_q"],
-                    "torsion_k": r["torsion_k"],
-                    "primes": r["primes"],
-                    "rows_ok": r["rows_ok"],
-                    "torsion_ok": r["torsion_ok"],
-                    "violations": [
-                        {"p": v.p, "points": v.count, "residue": v.observed,
-                         "allowed": sorted(v.allowed), "context": v.context}
-                        for v in r["violations"]
-                    ],
-                }
-                for r in rows
-            ],
-        })
-        return 0 if passed else 1
-    headers = ["label", "torsion Q", "torsion K", "d", "primes", "rows",
-               "torsion"]
+    headers = ("label", "torsion Q", "torsion K", "d", "primes", "rows",
+               "torsion")
     shown = [
         (r["label"], r["torsion_q"], r["torsion_k"], r["d"], r["primes"],
          "ok" if r["rows_ok"] else "FAIL",
          "ok" if r["torsion_ok"] else "FAIL")
         for r in rows
     ]
-    click.echo(_csv(headers, shown) if fmt == "csv"
-               else _md_table(headers, shown))
-    bad = [v for r in rows for v in r["violations"]]
+    bad = [
+        (v.p, v.count, v.observed,
+         " ".join(str(x) for x in sorted(v.allowed)), v.context)
+        for r in rows for v in r["violations"]
+    ]
+    payload = _payload("corpus-verify", max_prime=max_prime, passed=not bad, rows=[
+        {
+            **{k: v for k, v in r.items() if k != "matched"},
+            "violations": [
+                {"p": v.p, "points": v.count, "residue": v.observed,
+                 "allowed": sorted(v.allowed), "context": v.context}
+                for v in r["violations"]
+            ],
+        }
+        for r in rows
+    ])
     if bad:
-        click.echo("")
-        vh = ["p", "points", "residue", "allowed", "context"]
-        vt = [
-            (v.p, v.count, v.observed,
-             " ".join(str(x) for x in sorted(v.allowed)), v.context)
-            for v in bad
-        ]
-        click.echo(_csv(vh, vt) if fmt == "csv" else _md_table(vh, vt))
-        return 1
-    click.echo("")
-    click.echo(f"all {len(rows)} rows verified up to {max_prime}")
-    return 0
+        vh = ("p", "points", "residue", "allowed", "context")
+        tail = ["", _table(fmt, vh, bad)]
+    else:
+        tail = ["", f"all {len(rows)} rows verified up to {max_prime}"]
+    _emit(fmt, payload, headers, shown, tail=tail)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

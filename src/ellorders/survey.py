@@ -34,7 +34,6 @@ from .reduction import (
     ReductionType,
     _count_chunk,
     _count_model_mod_p,
-    _local_data_ints,
     count_curveK_at_prime,
     count_points_fp,
     local_data,
@@ -162,13 +161,6 @@ class ScanReport:
             raise DataIntegrityError("pass flag contradicts the violation list")
 
 
-def _count_good(ai, disc, p):
-    """N_p at a good p, on the p-minimal model when ai is not minimal at p."""
-    if disc % p == 0:
-        ai = _local_data_ints(ai, p).minimal_ainvs
-    return _count_model_mod_p(ai, p)
-
-
 def _scan_chunk(args):
     ai, m, N, primes = args
     rows = {}
@@ -239,7 +231,6 @@ def verify_expected(table: CongruenceTable, exp: ExpectedTable) -> ScanReport:
     matched = []
     violations = []
     densities = {}
-    disc = _invariant_kernel(table.ainvs)[6]
     for s, t, n in table.cells():
         primes = table.primes_by_cell[(s, t)]
         densities[(s, t)] = Fraction(n, table.total)
@@ -249,8 +240,8 @@ def verify_expected(table: CongruenceTable, exp: ExpectedTable) -> ScanReport:
             continue
         context = f"p class {s}" if allowed else f"no expected row for p class {s}"
         violations.extend(
-            Violation(p, _count_good(table.ainvs, disc, p), t, allowed, context)
-            for p in primes
+            Violation(p, count, t, allowed, context)
+            for p, count in zip(primes, _count_chunk(table.ainvs, primes))
         )
     violations.sort(key=lambda v: v.p)
     return ScanReport(

@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -14,6 +17,10 @@ def runner():
 
 def invoke(runner, *args, **kw):
     return runner.invoke(main, list(args), **kw)
+
+
+# 150b3 carries 150c3's coefficients here, so corpus-verify fails
+SWAPPED_CACHE = str(Path(__file__).parent / "data" / "cache_150b3_as_150c3")
 
 
 class TestSurveyCommand:
@@ -321,3 +328,21 @@ class TestCorpusVerify:
         one = invoke(runner, *args, "--threads", "1")
         four = invoke(runner, *args, "--threads", "4")
         assert one.output == four.output
+
+
+class TestCsvOutput:
+    @pytest.mark.parametrize("args", [
+        ["torsion", "--curve", "[1,-1,1,-199,510]", "--d", "5"],
+        ["resolve", "--label", "50a3", "--offline"],
+        ["corpus-verify", "--max-prime", "100", "--offline",
+         "--cache-dir", SWAPPED_CACHE],
+    ], ids=["torsion", "resolve", "corpus-verify-fail"])
+    def test_rows_as_wide_as_their_header(self, runner, args):
+        res = invoke(runner, *args, "--format", "csv")
+        assert res.exit_code in (0, 1), res.output
+        # a blank line separates the tables of one report
+        for block in res.output.strip("\n").split("\n\n"):
+            header, *rows = csv.reader(io.StringIO(block))
+            assert rows
+            for row in rows:
+                assert len(row) == len(header), row

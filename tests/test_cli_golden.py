@@ -2,7 +2,7 @@
 
 Every subcommand runs in md, csv and json at small bounds, offline, and its
 exit code and the sha256 of its stdout are compared with
-tests/data/cli_golden.json.  A change to any number or any formatting byte
+tests/data/cli_golden.json.  So does every subcommand's --help text.  A change to any number or any formatting byte
 that reaches stdout turns the matching case red.
 
 To re-record the fixture after an intended output change, run
@@ -23,6 +23,9 @@ from ellorders.catalog import CACHE_DIR_ENV
 from ellorders.cli import SCAN_CEILING_ENV, main
 
 FIXTURE = Path(__file__).parent / "data" / "cli_golden.json"
+# a user cache whose 150b3 holds 150c3's coefficients, so that corpus-verify
+# reports row and torsion violations
+SWAPPED_CACHE = Path(__file__).parent / "data" / "cache_150b3_as_150c3"
 
 # (case name, arguments without --format); each runs in all three formats
 COMMANDS = [
@@ -55,16 +58,28 @@ COMMANDS = [
                             "--t", "0", "--mod", "3"]),
     ("resolve", ["resolve", "--label", "50a3", "--offline"]),
     ("corpus-verify", ["corpus-verify", "--max-prime", "100", "--offline"]),
+    ("torsion-q", ["torsion", "--curve", "[1,-1,1,-199,510]"]),
+    ("supersingular-plain", ["supersingular", "--curve", "[0,0,0,-1,0]",
+                             "--max-prime", "300"]),
+    ("anomalous-plain", ["anomalous", "--label", "175b2", "--offline",
+                         "--max-prime", "500"]),
+    ("local-bounded", ["local", "--curve", "[1,1,0,-700,34000]",
+                       "--max-prime", "3"]),
+    ("resolve-note", ["resolve", "--label", "50.a3", "--offline"]),
+    ("corpus-verify-fail", ["corpus-verify", "--max-prime", "100", "--offline",
+                            "--cache-dir", str(SWAPPED_CACHE)]),
 ]
 
 FORMATS = ("md", "csv", "json")
 
 CASES = [(f"{name}-{fmt}", args + ["--format", fmt])
          for name, args in COMMANDS for fmt in FORMATS]
+CASES += [(f"help-{name}", [name, "--help"]) for name in sorted(main.commands)]
 
 
 def _run(args):
-    res = CliRunner().invoke(main, args)
+    # a fixed width, so that --help wraps the same on every terminal
+    res = CliRunner().invoke(main, args, terminal_width=80)
     return {"exit_code": res.exit_code,
             "sha256": hashlib.sha256(res.stdout_bytes).hexdigest()}
 
