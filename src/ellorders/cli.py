@@ -23,16 +23,14 @@ import click
 from .catalog import as_curve, bundled_corpus, parse_curve, render_curve, resolve_label
 from .curve import make_family, quadratic_twist
 from .errors import (
-    BadReductionError,
     DataIntegrityError,
     InputError,
     NetworkError,
     NotFoundError,
     ParseError,
     ResourceError,
-    UnsupportedPrimeError,
 )
-from .reduction import count_at_quadratic_prime, count_points_fp, local_data
+from .reduction import local_data, prime_walk, quadratic_walk
 from .survey import (
     SurveySpec,
     Violation,
@@ -52,7 +50,7 @@ from .torsion import (
     quadratic_torsion_bound,
     torsion_over_Q,
 )
-from .arith import legendre, primes_in_range
+from .arith import legendre
 
 SCAN_CEILING_ENV = "ELLORDERS_SCAN_CEILING"
 
@@ -260,14 +258,9 @@ def count(c, fmt, max_prime):
     """Point counts of the reductions at primes up to the bound."""
     _checked_bound(max_prime)
     bad = bad_primes(c)
-    rows = []
-    for p in primes_in_range(2, max_prime):
-        if p in bad:
-            ld = local_data(c, p)
-            rows.append((p, ld.rtype.value, ld.reduced_count, None))
-        else:
-            pc = count_points_fp(c, p)
-            rows.append((p, "good", pc.count, pc.trace))
+    rows = [(p, local_data(c, p).rtype.value, n, None) if p in bad
+            else (p, "good", n, p + 1 - n)
+            for p, n in prime_walk(c, 2, max_prime)]
     headers = ("p", "reduction", "points", "trace")
     _emit(fmt, _payload("count", c.ainvs, max_prime=max_prime,
                         rows=[dict(zip(headers, row)) for row in rows]),
@@ -305,16 +298,8 @@ def extension(c, fmt, d, max_prime):
     shows it once.
     """
     _checked_bound(max_prime)
-    rows = []
-    for p in primes_in_range(3, max_prime):
-        if d % p == 0:
-            continue
-        try:
-            n = count_at_quadratic_prime(c, d, p)
-        except (BadReductionError, UnsupportedPrimeError):
-            continue
-        kind = "split" if legendre(d % p, p) == 1 else "inert"
-        rows.append((p, kind, n))
+    rows = [(p, "split" if split else "inert", n)
+            for p, split, n in quadratic_walk(c, d, max_prime)]
     headers = ("p", "splitting", "order")
     _emit(fmt, _payload("extension", c.ainvs, d=d, max_prime=max_prime,
                         rows=[dict(zip(headers, row)) for row in rows]),
@@ -361,13 +346,11 @@ def twist(c, fmt, d, max_prime):
     _checked_bound(max_prime)
     tw = quadratic_twist(c, d)
     skip = bad_primes(c) | bad_primes(tw)
+    keep = lambda p: p not in skip and d % p
     checked = 0
     violations = []
-    for p in primes_in_range(3, max_prime):
-        if p in skip or d % p == 0:
-            continue
-        n = count_points_fp(c, p).count
-        n_tw = count_points_fp(tw, p).count
+    for (p, n), (_, n_tw) in zip(prime_walk(c, 3, max_prime, keep),
+                                 prime_walk(tw, 3, max_prime, keep)):
         checked += 1
         if legendre(d % p, p) == 1:
             ok = n == n_tw

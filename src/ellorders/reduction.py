@@ -10,11 +10,12 @@ order finder counts good reductions in about O(q^(1/4)) group operations.
 It never computes a point order: each drawn point gives the set of Hasse
 window numbers that annihilate it, and their intersection pins |E|.
 
-A survey chunk runs the F_p finder on all its good primes above the
-crossover at once (_count_chunk): one int64 numpy lane per prime, one draw
-per lane and round, Jacobian coordinates with one batched inversion per
-lane.  A lane that no round pins goes to the scalar finder, which with the
-table stays the oracle and the path for single counts.
+A prime walk (prime_walk) hands blocks of primes to _count_chunk, which runs
+the F_p finder on a block's good primes above the crossover at once: one
+int64 numpy lane per prime, one draw per lane and round, Jacobian
+coordinates with one batched inversion per lane.  A lane that no round pins
+goes to the scalar finder, which with the table stays the oracle and the
+path for single counts.  Every count passes _checked_count.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import _euler, factorize, is_prime, legendre, sqrt_mod, valuation
+from .arith import _euler, factorize, is_prime, legendre, primes_in_range, sqrt_mod, valuation
 from .curve import (
     CurveK,
     CurveQ,
     QuadInt,
     _invariant_kernel,
+    _squarefree,
     integral_model,
     invariants_K,
 )
@@ -71,6 +73,14 @@ _LANES = 256
 # round over the lanes the first leaves (14% near p = 2500, 4% near 3*10^4)
 # costs less than their scalar counts; a third measured no faster.
 _LANE_ROUNDS = 2
+
+CHUNK = 2048  # primes per survey job, and per prime-walk block at most
+
+# A prime walk's first block; later ones double up to CHUNK.  gcd_orders
+# mostly stops within a few primes, and lanes pay only in wide blocks: one
+# prime alone costs 2.2-3.8 ms in _count_chunk, 75-216 us in the scalar
+# finder, and 40 lanes break even with that only near p = 3*10^4.
+_WALK_FIRST = 64
 
 # Enumeration bound for the quadratic-field residue degree two oracle.
 FP2_DIRECT_CEILING = 200
@@ -336,6 +346,15 @@ def local_data(c: CurveQ, p: int) -> LocalData:
     return _local_data_ints(_ints(c), p)
 
 
+def bad_primes(c: CurveQ) -> frozenset:
+    """Primes where the p-minimal model has bad reduction."""
+    ai = _ints(c)
+    return frozenset(
+        p for p in factorize(_invariant_kernel(ai)[6])
+        if _local_data_ints(ai, p).rtype is not ReductionType.GOOD
+    )
+
+
 def smooth_locus_order(ld: LocalData) -> int:
     """Order of the group of nonsingular points of the reduction mod p."""
     if ld.rtype is ReductionType.SPLIT:
@@ -392,21 +411,24 @@ def count_points_fp(c: CurveQ, p: int) -> PointCount:
     if p > COUNT_CEILING:
         raise ResourceError(f"point count at {p} exceeds ceiling {COUNT_CEILING}")
     ai = _ints(c)
-    if _invariant_kernel(ai)[6] % p != 0:
-        n = _count_model_mod_p(ai, p)
-        good = True
-    else:
+    ld = None
+    if _invariant_kernel(ai)[6] % p == 0:
         ld = _local_data_ints(ai, p)
-        n = _count_model_mod_p(ld.minimal_ainvs, p)
-        good = ld.rtype is ReductionType.GOOD
-        if not good and n != ld.reduced_count:
-            raise DataIntegrityError(
-                f"reduced count {n} at {p} disagrees with type {ld.rtype}"
-            )
-    trace = p + 1 - n if good else None
-    if trace is not None and trace * trace > 4 * p:
-        raise DataIntegrityError(f"trace {trace} at {p} violates the Hasse bound")
-    return PointCount(p, 1, n, trace)
+        ai = ld.minimal_ainvs
+    n = _checked_count(p, _count_model_mod_p(ai, p), ld)
+    good = ld is None or ld.rtype is ReductionType.GOOD
+    return PointCount(p, 1, n, p + 1 - n if good else None)
+
+
+def _checked_count(p, n, ld=None):
+    """n, if it can be N_p: in the Hasse window at good p, and the reduced
+    curve's count at bad p.  ld is the local data when p divides the disc."""
+    if ld is None or ld.rtype is ReductionType.GOOD:
+        if (p + 1 - n) ** 2 > 4 * p:
+            raise DataIntegrityError(f"trace {p + 1 - n} at {p} violates the Hasse bound")
+    elif n != ld.reduced_count:
+        raise DataIntegrityError(f"reduced count {n} at {p} disagrees with type {ld.rtype}")
+    return n
 
 
 def count_extension(trace_or_count, p: int | None = None, n: int = 2) -> PointCount:
@@ -491,13 +513,15 @@ class QuadraticPrimeSplitting:
     f: int  # residue degree
 
 
+def _check_field(d: int) -> None:
+    """Refuse a d that names no quadratic field Q(sqrt d)."""
+    if d in (0, 1) or not _squarefree(d):
+        raise InputError(f"need a nontrivial squarefree d, got {d}")
+
+
 def splitting(d: int, p: int) -> QuadraticPrimeSplitting:
     """How p behaves in Q(sqrt d), d squarefree and not 0 or 1."""
-    if d in (0, 1):
-        raise InputError(f"need a nontrivial squarefree d, got {d}")
-    for q, e in factorize(abs(d)).items():
-        if e > 1:
-            raise InputError(f"d = {d} is not squarefree")
+    _check_field(d)
     if not is_prime(p):
         raise InputError(f"need a prime, got {p}")
     if p == 2:
@@ -532,10 +556,23 @@ def count_at_quadratic_prime(c: CurveQ, d: int, p: int) -> int:
         if ld.rtype is not ReductionType.GOOD:
             raise BadReductionError(f"bad reduction at {p}")
         ai = ld.minimal_ainvs
-    n1 = _count_model_mod_p(ai, p)
-    if sp.kind is SplitKind.SPLIT:
-        return n1
-    return n1 * (2 * p + 2 - n1)
+    return _residue_order(_count_model_mod_p(ai, p), p, sp.kind is SplitKind.SPLIT)
+
+
+def _residue_order(n, p, split):
+    """|E(O_K/P)| from N_p at an odd good p unramified in K: N_p when p
+    splits, |E(F_{p^2})| = N_p (2p + 2 - N_p) when it is inert."""
+    return n if split else n * (2 * p + 2 - n)
+
+
+def quadratic_walk(c: CurveQ, d: int, X: int):
+    """(p, split, |E(O_K/P)|) at each odd good p <= X unramified in
+    K = Q(sqrt d), ascending, counted by one prime walk."""
+    _check_field(d)
+    bad = bad_primes(c)
+    for p, n in prime_walk(c, 3, X, lambda p: d % p and p not in bad):
+        split = _euler(d % p, p) == 1
+        yield p, split, _residue_order(n, p, split)
 
 
 # ---------------------------------------------------------------------------
@@ -922,7 +959,7 @@ def _lane_round(ps, a4s, a6s, rng):
 
 
 def _count_chunk(ai, primes) -> list:
-    """N_p on the p-minimal model at each prime of a survey chunk.
+    """N_p on the p-minimal model at each prime of a block, checked.
 
     Good p above the crossover run as lanes, _LANES at a time, with draws
     from one generator seeded by the model and the first prime.  The other
@@ -936,11 +973,13 @@ def _count_chunk(ai, primes) -> list:
             f"point count at {max(primes)} exceeds ceiling {COUNT_CEILING}")
     inv = _invariant_kernel(ai)
     out = [0] * len(primes)
+    lds = [None] * len(primes)
     lanes = []  # (index, p, model, a4, a6)
     for i, p in enumerate(primes):
         model, c4, c6, disc = ai, *inv[4:]
         if disc % p == 0:
-            model = _local_data_ints(ai, p).minimal_ainvs
+            lds[i] = _local_data_ints(ai, p)
+            model = lds[i].minimal_ainvs
             c4, c6, disc = _invariant_kernel(model)[4:]
         if p > _FINDER_CROSSOVER and disc % p:
             lanes.append((i, p, model, -27 * c4 % p, -54 * c6 % p))
@@ -960,7 +999,28 @@ def _count_chunk(ai, primes) -> list:
         lanes = left
     for i, p, model, _, _ in lanes:
         out[i] = _count_model_mod_p(model, p)
-    return out
+    return list(map(_checked_count, primes, out, lds))
+
+
+def _walk_primes(lo, X, keep) -> list:
+    """The primes in [lo, X] that keep accepts, once X is at most COUNT_CEILING."""
+    if X > COUNT_CEILING:
+        raise ResourceError(
+            f"scan bound {X} exceeds the point count ceiling {COUNT_CEILING}")
+    return [p for p in primes_in_range(lo, X) if keep is None or keep(p)]
+
+
+def prime_walk(c: CurveQ, lo: int, X: int, keep=None):
+    """(p, N_p) on the p-minimal model at each prime in [lo, X] that keep
+    accepts (every prime without it), ascending.  Blocks of _WALK_FIRST
+    primes, doubling, go to _count_chunk, so an early stop counts few."""
+    ps = _walk_primes(lo, X, keep)
+    ai = _ints(c)
+    start, width = 0, _WALK_FIRST
+    while start < len(ps):
+        block = ps[start:start + width]
+        yield from zip(block, _count_chunk(ai, block))
+        start, width = start + width, min(2 * width, CHUNK)
 
 
 def _fq_finder_count(c46, p, r, rng):

@@ -1,9 +1,9 @@
 """Prime-range scans: congruence tables, densities, gcd of orders, families.
 
-Every scan walks good primes up to a bound, buckets or folds the counts,
-and reports violations with the exact primes involved.  Scans are pure and
-chunk-parallel: the prime range is cut into fixed-size blocks so the merged
-table does not depend on the worker count.
+Every scan of a rational curve counts its primes through reduction.prime_walk
+(congruence_survey in fixed-size blocks, so its table does not depend on the
+worker count), buckets or folds the counts, and reports violations with the
+exact primes involved.  Scans are pure.
 """
 
 import json
@@ -19,38 +19,24 @@ from .curve import (
     _invariant_kernel,
     curve,
     integral_model,
-    invariants,
     make_family,
 )
 from .errors import (
     BadReductionError,
     DataIntegrityError,
     InputError,
-    ResourceError,
     UnsupportedPrimeError,
 )
 from .reduction import (
-    COUNT_CEILING,
-    ReductionType,
+    CHUNK,
     _count_chunk,
     _count_model_mod_p,
+    _walk_primes,
+    bad_primes,
     count_curveK_at_prime,
-    count_points_fp,
-    local_data,
+    prime_walk,
 )
 from .torsion import division_value_mod, quadratic_torsion_bound
-
-CHUNK = 2048
-
-
-def bad_primes(c: CurveQ) -> frozenset:
-    """Primes where the p-minimal model has bad reduction."""
-    disc = abs(int(invariants(integral_model(c)).disc))
-    out = set()
-    for p in factorize(disc):
-        if local_data(c, p).rtype is not ReductionType.GOOD:
-            out.add(p)
-    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -197,13 +183,9 @@ def congruence_survey(c: CurveQ, spec: SurveySpec, workers: int = 1) -> Congruen
     table is identical for every worker count.  A bound above COUNT_CEILING
     is refused before any prime is sieved or counted.
     """
-    if spec.X > COUNT_CEILING:
-        raise ResourceError(
-            f"survey bound {spec.X} exceeds the point count ceiling {COUNT_CEILING}"
-        )
     skip = set(spec.exclusions) | set(bad_primes(c))
     skip |= set(factorize(2 * spec.m * spec.N))
-    ps = [p for p in primes_in_range(2, spec.X) if p not in skip]
+    ps = _walk_primes(2, spec.X, lambda p: p not in skip)
     ai = tuple(int(a) for a in integral_model(c).ainvs)
     chunks = [ps[i:i + CHUNK] for i in range(0, len(ps), CHUNK)]
     jobs = [(ai, spec.m, spec.N, chunk) for chunk in chunks]
@@ -269,15 +251,9 @@ def gcd_orders(c: CurveQ, X: int, include_bad: bool = True) -> int:
     """
     if X < 50:
         raise InputError(f"prime bound must be at least 50, got {X}")
-    bad = bad_primes(c)
+    bad = frozenset() if include_bad else bad_primes(c)
     g = 0
-    for p in primes_in_range(2, X):
-        if p in bad:
-            if not include_bad:
-                continue
-            n = local_data(c, p).reduced_count
-        else:
-            n = count_points_fp(c, p).count
+    for _, n in prime_walk(c, 2, X, lambda p: p not in bad):
         g = math.gcd(g, n)
         if g == 1:
             return 1
@@ -315,14 +291,12 @@ def scan_supersingular(c: CurveQ, X: int, moduli=()) -> list:
     """Good primes in [5, X] with trace zero, annotated mod each modulus."""
     if X < 50:
         raise InputError(f"prime bound must be at least 50, got {X}")
+    if any(mod < 1 for mod in moduli):
+        raise InputError(f"moduli must be positive, got {tuple(moduli)}")
     bad = bad_primes(c)
-    out = []
-    for p in primes_in_range(5, X):
-        if p in bad:
-            continue
-        if count_points_fp(c, p).trace == 0:
-            out.append((p, tuple(p % mod for mod in moduli)))
-    return out
+    return [(p, tuple(p % mod for mod in moduli))
+            for p, n in prime_walk(c, 5, X, lambda p: p not in bad)
+            if n == p + 1]
 
 
 def scan_anomalous(c: CurveQ, X: int, modulus: int = 1) -> list:
@@ -332,13 +306,9 @@ def scan_anomalous(c: CurveQ, X: int, modulus: int = 1) -> list:
     if modulus < 1:
         raise InputError(f"modulus must be positive, got {modulus}")
     bad = bad_primes(c)
-    out = []
-    for p in primes_in_range(2, X):
-        if p in bad:
-            continue
-        if count_points_fp(c, p).count % p == 0:
-            out.append((p, p % modulus))
-    return out
+    return [(p, p % modulus)
+            for p, n in prime_walk(c, 2, X, lambda p: p not in bad)
+            if n % p == 0]
 
 
 def scan_twist_dichotomy(
@@ -362,12 +332,7 @@ def scan_twist_dichotomy(
     matched = []
     violations = []
     split_hits = 0
-    total = 0
-    for p in primes_in_range(3, X):
-        if p in skip:
-            continue
-        total += 1
-        n = count_points_fp(c, p).count
+    for p, n in prime_walk(c, 3, X, lambda p: p not in skip):
         if legendre(d % p, p) == 1:
             ok = n % ell == 0
             context = f"split, expected 0 mod {ell}"
@@ -379,6 +344,7 @@ def scan_twist_dichotomy(
             matched.append(p)
         else:
             violations.append(Violation(p, n, n % ell, frozenset(), context))
+    total = len(matched) + len(violations)
     densities = {}
     if total:
         densities[("split", 0)] = Fraction(split_hits, total)
@@ -437,15 +403,10 @@ def verify_family(name: str, params: list, X: int) -> ScanReport:
     modulus, qualifies = _FAMILY_CHECKS[name]
     matched = []
     violations = []
-    total = 0
     for t in params:
         c = make_family(name, t=t)
         bad = bad_primes(c)
-        for p in primes_in_range(2, X):
-            if p in bad or not qualifies(t, p):
-                continue
-            n = count_points_fp(c, p).count
-            total += 1
+        for p, n in prime_walk(c, 2, X, lambda p: p not in bad and qualifies(t, p)):
             if n % modulus:
                 violations.append(
                     Violation(p, n, n % modulus, frozenset({0}), f"t={t}")
@@ -458,7 +419,7 @@ def verify_family(name: str, params: list, X: int) -> ScanReport:
         matched=tuple(sorted(matched)),
         violations=tuple(violations),
         densities={},
-        total=total,
+        total=len(matched) + len(violations),
     )
 
 

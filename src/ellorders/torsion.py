@@ -18,14 +18,13 @@ import numpy as np
 
 from .arith import factorize, is_prime, primes_in_range
 from .curve import CurveQ, integral_model, invariants, quadratic_twist
-from .errors import DataIntegrityError, InputError, ResourceError, UnsupportedPrimeError
+from .errors import DataIntegrityError, InputError, ResourceError
 from .reduction import (
-    BadReductionError,
     _fq_pt_add,
     _fq_pt_mul,
     _mul,
-    count_at_quadratic_prime,
     count_points_fp,
+    quadratic_walk,
 )
 
 # ---------------------------------------------------------------------------
@@ -549,13 +548,7 @@ def quadratic_torsion_bound(c: CurveQ, d: int, max_prime: int = 2000) -> int:
     if max_prime < 100:
         raise InputError(f"the prime bound must be at least 100, got {max_prime}")
     bound = 0
-    for p in primes_in_range(3, max_prime):
-        if (2 * d) % p == 0:
-            continue
-        try:
-            n = count_at_quadratic_prime(c, d, p)
-        except (BadReductionError, UnsupportedPrimeError):
-            continue
+    for _, _, n in quadratic_walk(c, d, max_prime):
         bound = math.gcd(bound, n)
         if bound == 1:
             break

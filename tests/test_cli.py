@@ -100,6 +100,14 @@ class TestGcdCommands:
         assert data["schema"] == "ellorders.gcd/1"
         assert data["gcd"] == 3
 
+    @pytest.mark.parametrize("command", ["gcd-quadratic", "extension"])
+    def test_zero_d_is_a_usage_error(self, runner, command):
+        # d = 0 names no field; every prime used to read as ramified
+        res = invoke(runner, command, "--curve", "[1,1,0,-700,34000]",
+                     "--d", "0")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+
     def test_quadratic_field_gcd(self, runner):
         res = invoke(runner, "gcd-quadratic", "--curve", "[1,-1,1,-1,-14]",
                      "--d", "-1", "--max-prime", "600")
@@ -254,6 +262,14 @@ class TestScanCeiling:
         t0 = time.perf_counter()
         res = invoke(runner, "survey", "--curve", "[0,0,0,-12,-11]", "--mod", "10",
                      "--class-mod", "5", "--max-prime", str(10**7 + 1))
+        assert res.exit_code == 3
+        assert "ceiling" in res.stderr
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_scan_above_count_ceiling_exits_at_once(self, runner):
+        t0 = time.perf_counter()
+        res = invoke(runner, "supersingular", "--curve", "[1,1,0,-700,34000]",
+                     "--max-prime", str(2 * 10**7))
         assert res.exit_code == 3
         assert "ceiling" in res.stderr
         assert time.perf_counter() - t0 < 1.0

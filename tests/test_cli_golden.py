@@ -1,9 +1,11 @@
 """Byte-level golden test of the command-line output.
 
-Every subcommand runs in md, csv and json at small bounds, offline, and its
-exit code and the sha256 of its stdout are compared with
-tests/data/cli_golden.json.  So does every subcommand's --help text.  A change to any number or any formatting byte
-that reaches stdout turns the matching case red.
+Every subcommand runs in md, csv and json at small bounds, offline, and the
+ones that walk primes also run in json to 6000, where counts go to numpy
+lanes.  Each case's exit code and the sha256 of its stdout are compared with
+tests/data/cli_golden.json, and so is every subcommand's --help text.  A
+change to any number or any formatting byte that reaches stdout turns the
+matching case red.
 
 To re-record the fixture after an intended output change, run
 
@@ -72,8 +74,25 @@ COMMANDS = [
 
 FORMATS = ("md", "csv", "json")
 
+# (case name, arguments without --format) for the prime-walking commands to
+# 6000, past the crossover where counts go to numpy lanes; json only
+WALKED = [
+    ("count", ["count", "--curve", "[1,1,0,-700,34000]"]),
+    ("twist", ["twist", "--curve", "[1,-1,1,-199,510]", "--d", "-3"]),
+    ("extension", ["extension", "--curve", "[1,-1,1,-1,-14]", "--d", "-1"]),
+    ("gcd-quadratic", ["gcd-quadratic", "--curve", "[1,-1,1,-1,-14]",
+                       "--d", "-1"]),
+    ("gcd", ["gcd", "--curve", "[1,-1,1,-199,510]"]),
+    ("supersingular", ["supersingular", "--curve", "[0,0,0,-1,0]",
+                       "--mod", "4"]),
+    ("anomalous", ["anomalous", "--label", "175b2", "--offline", "--mod", "3"]),
+    ("family", ["family", "--family", "family5", "--t", "2,3"]),
+]
+
 CASES = [(f"{name}-{fmt}", args + ["--format", fmt])
          for name, args in COMMANDS for fmt in FORMATS]
+CASES += [(f"{name}-6000-json", args + ["--max-prime", "6000", "--format", "json"])
+          for name, args in WALKED]
 CASES += [(f"help-{name}", [name, "--help"]) for name in sorted(main.commands)]
 
 

@@ -1,6 +1,7 @@
 """Scan module: congruence tables, densities, gcd folds, family checks."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellorders import reduction
 from ellorders.arith import is_prime, legendre, primes_in_range, sqrt_mod
 from ellorders.curve import (
+    _invariant_kernel,
     curve,
     curve_K,
     everywhere_good_33,
@@ -50,6 +53,18 @@ SCALED_SIX_CURVE = [0, 0, 0, -12 * 7**4, -11 * 7**6]
 SCALED_2521_SIX_CURVE = [0, 0, 0, -12 * 2521**4, -11 * 2521**6]
 Z10_CURVE = [1, 1, 0, -700, 34000]  # Z/2 over Q, Z/10 over Q(sqrt 5)
 SEVENTEEN = [1, -1, 1, -1, -14]  # conductor 17, Z/4
+
+
+def _lie_at_good_primes(monkeypatch):
+    """Make every good scalar count one past the top of the Hasse window."""
+    real = reduction._count_model_mod_p
+
+    def lying(ai, p):
+        if _invariant_kernel(ai)[6] % p:
+            return p + 2 + math.isqrt(4 * p)
+        return real(ai, p)
+
+    monkeypatch.setattr(reduction, "_count_model_mod_p", lying)
 
 
 def _twelve_twenty_table(X=10**4, workers=1):
@@ -163,6 +178,11 @@ class TestCongruenceSurvey:
         with pytest.raises(ResourceError):
             congruence_survey(curve(SIX_CURVE), SurveySpec(10, 5, COUNT_CEILING + 1))
         assert time.perf_counter() - t0 < 1.0
+
+    def test_count_outside_the_hasse_window_raises(self, monkeypatch):
+        _lie_at_good_primes(monkeypatch)
+        with pytest.raises(DataIntegrityError, match="Hasse"):
+            congruence_survey(curve(SIX_CURVE), SurveySpec(12, 20, 500))
 
     def test_survey_never_imports_numpy_random(self):
         # importing numpy.random alone costs several MB of resident memory
@@ -301,6 +321,41 @@ class TestGcdOrders:
         with pytest.raises(InputError):
             gcd_orders(curve(SIX_CURVE), 49)
 
+    def test_bound_above_count_ceiling_refused_at_once(self):
+        # refused even though this curve's gcd reaches 1 at the first primes
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceError):
+            gcd_orders(kubert5(1), COUNT_CEILING + 1)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_early_exit_counts_one_small_block(self, monkeypatch):
+        counted = []
+        real = reduction._count_chunk
+
+        def spy(ai, primes):
+            counted.extend(primes)
+            return real(ai, primes)
+
+        monkeypatch.setattr(reduction, "_count_chunk", spy)
+        assert gcd_orders(kubert5(1), 10**4) == 1
+        assert 0 < len(counted) <= 64
+
+    def test_count_outside_the_hasse_window_raises(self, monkeypatch):
+        _lie_at_good_primes(monkeypatch)
+        with pytest.raises(DataIntegrityError, match="Hasse"):
+            gcd_orders(curve(SIX_CURVE), 500)
+
+    def test_wrong_count_at_a_bad_prime_raises(self, monkeypatch):
+        real = reduction._count_model_mod_p
+
+        def lying(ai, p):
+            n = real(ai, p)
+            return n + 1 if _invariant_kernel(ai)[6] % p == 0 else n
+
+        monkeypatch.setattr(reduction, "_count_model_mod_p", lying)
+        with pytest.raises(DataIntegrityError, match="reduced count"):
+            gcd_orders(curve(SIX_CURVE), 500)
+
 
 class TestGcdOrdersQuadratic:
     def test_field_curves(self):
@@ -355,6 +410,15 @@ class TestScanSupersingular:
     def test_bound_validation(self):
         with pytest.raises(InputError):
             scan_supersingular(curve(SIX_CURVE), 49)
+        for moduli in ((0,), (4, -3)):
+            with pytest.raises(InputError):
+                scan_supersingular(curve(Z10_CURVE), 100, moduli)
+
+    def test_bound_above_count_ceiling_refused_at_once(self):
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceError):
+            scan_supersingular(curve(Z10_CURVE), 2 * 10**7)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestScanAnomalous:

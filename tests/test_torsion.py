@@ -460,6 +460,11 @@ class TestQuadraticTorsion:
         with pytest.raises(InputError):
             quadratic_torsion_bound(kubert5(1), 6, 99)
 
+    @pytest.mark.parametrize("d", [0, 1, 12])
+    def test_bound_needs_a_field(self, d):
+        with pytest.raises(InputError):
+            quadratic_torsion_bound(curve([1, 1, 0, -700, 34000]), d)
+
     def test_observed_growth_is_an_admissible_row(self):
         # structure over Q, observed bound: some quadratic row must explain it
         cases = [
