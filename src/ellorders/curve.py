@@ -135,7 +135,13 @@ def short_model(c: CurveQ) -> CurveQ:
 
 
 def integral_model(c: CurveQ) -> CurveQ:
-    """Smallest power-scaling of the model with integer coefficients."""
+    """The model scaled by u = 1/m, m the lcm of the coefficient denominators.
+
+    The coefficients are then integers, but the scaling is not the smallest
+    that makes them so: a6 = 51/10^11 becomes a6 * 10^66 where u = 1/100
+    would do.  The points that ec_add, ec_mul, point_order and
+    division_value_mod take are in these coordinates.
+    """
     m = 1
     for a in c.ainvs:
         m = m * a.denominator // gcd(m, a.denominator)

@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factorize, is_prime, legendre, primes_in_range, valuation
+from .arith import _euler, factorize, is_prime, legendre, primes_in_range
 from .curve import (
     CurveK,
     CurveQ,
@@ -364,22 +364,31 @@ def scan_twist_dichotomy(
     )
 
 
-# family divisibility: name -> (count modulus, qualifying-prime predicate)
+# family divisibility: name -> (count modulus, qualifying-prime predicate).
+# The walk offers only primes, so the predicates test p-adic units and
+# residues directly instead of re-proving p prime through valuation and
+# legendre.
+
+
+def _unit_at(x, p) -> bool:
+    """Whether p divides neither the numerator nor the denominator of x."""
+    x = Fraction(x)
+    return x.numerator * x.denominator % p != 0
 
 
 def _family3_ok(t, p):
-    return p not in (2, 3) and valuation(t * (9 + 4 * t * t), p) == 0
+    return p not in (2, 3) and _unit_at(t * (9 + 4 * t * t), p)
 
 
 def _family5_ok(t, p):
-    if p in (2, 3, 29) or valuation(Fraction(t), p) != 0:
+    if p in (2, 3, 29) or not _unit_at(t, p):
         return False
     tf = Fraction(t)
-    return legendre(tf.numerator * tf.denominator % p, p) == 1
+    return _euler(tf.numerator * tf.denominator, p) == 1
 
 
 def _kkp_ok(t, p):
-    return p > 3 and valuation(t * (9 * t + 4), p) == 0
+    return p > 3 and _unit_at(t * (9 * t + 4), p)
 
 
 _FAMILY_CHECKS = {

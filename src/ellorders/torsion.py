@@ -1,7 +1,10 @@
 """Division polynomials, rational torsion, and quadratic-field torsion data.
 
-Torsion over Q is computed by the Lutz-Nagell search on an integral model
-with a1 = a3 = 0, cross-checked against a gcd of good reduction counts.
+Torsion over Q is computed by the Lutz-Nagell search on the short model
+y^2 = x^3 + Ax + B that is minimal among integral short models, so every
+model of a curve gives the same search; its integer roots are found in
+exact integer arithmetic.  The result is cross-checked against a gcd of
+good reduction counts from the prime walk.
 Over a quadratic field only the odd part is computed exactly (through the
 twist decomposition); the even part is bounded, and the growth catalogs say
 which structures are possible at all.
@@ -14,16 +17,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .arith import factorize, is_prime, primes_in_range
-from .curve import CurveQ, integral_model, invariants, quadratic_twist
+from .arith import factorize, is_prime
+from .curve import CurveQ, _icbrt, integral_model, invariants, quadratic_twist
 from .errors import DataIntegrityError, InputError, ResourceError
 from .reduction import (
     _fq_pt_add,
     _fq_pt_mul,
     _mul,
     count_points_fp,
+    prime_walk,
     quadratic_walk,
 )
 
@@ -340,69 +342,49 @@ class TorsionGroup:
         return f"Z/{self.n1} x Z/{self.n2}"
 
 
-def _integer_roots(coeffs) -> list:
-    """Integer roots of a monic integer cubic, located by floating point."""
-    roots = np.roots([float(c) for c in coeffs])
-    found = set()
-    for z in roots:
-        if abs(z.imag) > 0.5:
-            continue
-        base = round(z.real)
-        for cand in range(base - 2, base + 3):
-            val = 0
-            for c in coeffs:
-                val = val * cand + c
-            if val == 0:
-                found.add(cand)
-    return sorted(found)
+def _integer_cubic_roots(A: int, c: int) -> list:
+    """Integer roots of x^3 + Ax + c, ascending, exactly.
 
-
-def _integer_cubic_roots_batch(A: int, consts) -> list:
-    """Integer roots of x^3 + Ax + c for every c, one stacked eigenvalue call.
-
-    Same companion-matrix numerics as np.roots, minus the per-polynomial
-    overhead; the divisor search hands us thousands of constant terms per
-    curve.  A float evaluation with a relative tolerance screens the +-2
-    integer window around each real eigenvalue; only survivors get the
-    exact big-integer check.
+    A root has |x| <= max(sqrt(2|A|), cbrt(2|c|)), since otherwise x^3
+    outweighs Ax + c, so M below bounds every root.  The cubic is monotone
+    on [-M, -s - 1], [-s, s] and [s + 1, M] with s = isqrt(-A // 3) (on all
+    of [-M, M] when A >= 0), so a bisection in each piece finds its one
+    possible root.
     """
-    consts = list(consts)
-    if not consts or max(abs(c) for c in consts) > 1e300 or abs(A) > 1e300:
-        return [_integer_roots([1, 0, A, c]) for c in consts]
-    comp = np.zeros((len(consts), 3, 3))
-    comp[:, 0, 1] = -float(A)
-    comp[:, 0, 2] = -np.array([float(c) for c in consts])
-    comp[:, 1, 0] = 1.0
-    comp[:, 2, 1] = 1.0
-    roots = np.linalg.eigvals(comp)
-    base = np.round(roots.real)
-    cands = base[..., None] + np.arange(-2.0, 3.0)
-    cf = np.array([float(c) for c in consts])[:, None, None]
-    vals = cands * (cands * cands + float(A)) + cf
-    scale = np.abs(cands) ** 3 + abs(float(A)) * np.abs(cands) + np.abs(cf) + 1.0
-    hit = (np.abs(roots.imag) <= 0.5)[..., None] & (np.abs(vals) <= 1e-9 * scale)
-    out = [set() for _ in consts]
-    for i, j, k in np.argwhere(hit):
-        x = int(cands[i, j, k])
-        if x * x * x + A * x + consts[i] == 0:
-            out[i].add(x)
-    return [sorted(s) for s in out]
+    M = math.isqrt(2 * abs(A)) + _icbrt(2 * abs(c) or 1) + 1
+    if A >= 0:
+        pieces = ((-M, M, 1),)
+    else:
+        s = math.isqrt(-A // 3)
+        pieces = ((-M, -s - 1, 1), (-s, s, -1), (s + 1, M, 1))
+
+    def f(x):
+        return x * (x * x + A) + c
+
+    roots = []
+    for lo, hi, sign in pieces:
+        # sign * f rises on [lo, hi]; find the first x where it is >= 0
+        if sign * f(lo) > 0 or sign * f(hi) < 0:
+            continue
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * f(mid) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        if f(lo) == 0:
+            roots.append(lo)
+    return roots
 
 
-def _lutz_nagell_points(A: int, B: int) -> list:
-    """All affine torsion points of y^2 = x^3 + Ax + B with A, B integers."""
-    disc = -16 * (4 * A**3 + 27 * B * B)
-    pts = []
-    try:
-        fac = factorize(abs(disc))
-    except ResourceError as exc:
-        raise ResourceError(
-            f"discriminant {disc} too large for the torsion divisor search"
-        ) from exc
-    half = {q: e // 2 for q, e in fac.items() if e >= 2}
+def _lutz_nagell_points(A: int, B: int, fac: dict) -> list:
+    """All affine torsion points of y^2 = x^3 + Ax + B with A, B integers.
+
+    fac factors 4A^3 + 27B^2, which y^2 divides at every point with y != 0.
+    """
     ys = [1]
-    for q, e in half.items():
-        ys = [y * q**i for y in ys for i in range(e + 1)]
+    for q, e in fac.items():
+        ys = [y * q**i for y in ys for i in range(e // 2 + 1)]
     # root-existence sieve: drop y when x^3 + Ax + (B - y^2) has no root
     # mod a few small moduli, which kills most of the divisor candidates
     sieves = []
@@ -412,32 +394,29 @@ def _lutz_nagell_points(A: int, B: int) -> list:
         for x in range(q):
             table[(-(x * x * x + Aq * x)) % q] = 1
         sieves.append((q, table))
-    ys = [0] + sorted(set(ys))
+    ys = [0] + sorted(ys)
     ys = [y for y in ys if all(t[(B - y * y) % q] for q, t in sieves)]
-    for y, xs in zip(ys, _integer_cubic_roots_batch(A, [B - y * y for y in ys])):
-        for x in xs:
+    pts = []
+    for y in ys:
+        for x in _integer_cubic_roots(A, B - y * y):
             pts.append((Fraction(x), Fraction(y)))
             if y:
                 pts.append((Fraction(x), Fraction(-y)))
-    torsion = []
-    for pt in pts:
-        if _rat_order_up_to(pt, A, B) is not None:
-            torsion.append(pt)
-    return torsion
+    return [pt for pt in pts if _rat_order_up_to(pt, A, B) is not None]
 
 
-def _short_map_back(c: CurveQ):
-    """Map (x, y) on the integral a1 = a3 = 0 model back to c's coordinates."""
+def _short_map_back(c: CurveQ, u: int):
+    """Map (x, y) on the integral short model with u^4 divided out of A
+    and u^6 out of B back to c's coordinates."""
     ci = integral_model(c)
     m = 1
     for a in c.ainvs:
         m = m * a.denominator // math.gcd(m, a.denominator)
-    inv = invariants(ci)
-    b2 = inv.b2
+    b2 = invariants(ci).b2
     a1, a3 = ci.a1, ci.a3
 
     def back(pt):
-        xs, ys = pt
+        xs, ys = pt[0] * u**2, pt[1] * u**3
         xi = (xs - 3 * b2) / 36
         yi = (ys / 108 - a1 * xi - a3) / 2
         return (xi / m**2, yi / m**3)
@@ -449,17 +428,32 @@ def _short_map_back(c: CurveQ):
 def torsion_over_Q(c: CurveQ) -> TorsionGroup:
     """Exact rational torsion, by Lutz-Nagell search plus a reduction bound.
 
-    The candidate points come from the integral short model; the reduction
-    gcd over good odd primes is used to rule out anything bigger.  When the
-    sampled bound fails to exclude a strictly larger admissible structure the
-    prime sample is extended; the point search itself is exhaustive, so the
-    found structure is returned either way.
+    The integral short model y^2 = x^3 + Ax + B with A = -27 c4 and
+    B = -54 c6 is made minimal among short models: q^4 leaves A and q^6
+    leaves B while both divide, for each prime q of the discriminant.  So
+    the search sees one model per curve, whatever model came in.  Its
+    integer roots are exact.  The gcd of good counts at odd primes must be
+    a multiple of the found order; the walk stops once that gcd rules out
+    every larger Mazur structure.  The point search itself is exhaustive,
+    so the found structure is returned either way.
     """
     ci = integral_model(c)
     inv = invariants(ci)
     A = int(-27 * inv.c4)
     B = int(-54 * inv.c6)
-    affine = _lutz_nagell_points(A, B)
+    D = 4 * A**3 + 27 * B * B
+    try:
+        fac = factorize(D)
+    except ResourceError as exc:
+        raise ResourceError(
+            f"discriminant {-16 * D} too large for the torsion divisor search"
+        ) from exc
+    u = 1
+    for q in fac:
+        while A % q**4 == 0 and B % q**6 == 0:
+            A, B, u = A // q**4, B // q**6, u * q
+            fac[q] -= 12
+    affine = _lutz_nagell_points(A, B, fac)
     order = 1 + len(affine)
 
     orders = {pt: _rat_order_up_to(pt, A, B) for pt in affine}
@@ -485,38 +479,25 @@ def torsion_over_Q(c: CurveQ) -> TorsionGroup:
                 next(pt for pt, o in orders.items() if o == 2 and pt != inside)
             )
 
-    # reduction bound; extend the sample when it fails to pin the structure
-    disc_int = int(invariants(ci).disc)
-    windows = [(3, 200), (201, 1200), (1201, 4000)]
-    bound = 0
-    sampled = 0
-
-    def ambiguous():
+    # reduction bound: the point search is exhaustive, so the bound only
+    # needs to rule out larger structures; check as it shrinks
+    disc = int(inv.disc)
+    bound = sampled = 0
+    for p, n in prime_walk(ci, 3, 4000, keep=lambda p: disc % p != 0):
+        bound = math.gcd(bound, n)
+        sampled += 1
         if bound % order:
             raise DataIntegrityError(
                 f"reduction bound {bound} not divisible by found order {order}"
             )
-        return any(
+        if sampled % 8 == 0 and not any(
             h1 % n1 == 0 and h2 % n2 == 0 and bound % (h1 * h2) == 0
             for h1, h2 in MAZUR_STRUCTURES
             if (h1, h2) != (n1, n2)
-        )
-    pinned = False
-    for lo, hi in windows:
-        for p in primes_in_range(lo, hi):
-            if disc_int % p == 0:
-                continue
-            bound = math.gcd(bound, count_points_fp(ci, p).count)
-            sampled += 1
-            # the point search is exhaustive, so the bound only needs to
-            # rule out larger admissible structures; check as it shrinks
-            if sampled >= 8 and sampled % 8 == 0 and not ambiguous():
-                pinned = True
-                break
-        if pinned or (sampled and not ambiguous()):
+        ):
             break
 
-    back = _short_map_back(c)
+    back = _short_map_back(c, u)
     return TorsionGroup(n1, n2, tuple(back(pt) for pt in gens))
 
 

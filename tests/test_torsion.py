@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ellorders import torsion
 from ellorders.arith import legendre, primes_in_range, sqrt_mod
 from ellorders.curve import (
     curve,
@@ -12,8 +14,9 @@ from ellorders.curve import (
     invariants,
     kubert5,
     quadratic_twist,
+    transformed,
 )
-from ellorders.errors import InputError, ResourceError
+from ellorders.errors import DataIntegrityError, InputError, ResourceError
 from ellorders.reduction import _fq_pt_mul, count_points_fp
 from ellorders.torsion import (
     MAZUR_STRUCTURES,
@@ -36,6 +39,7 @@ from ellorders.torsion import (
     torsion_over_Q,
     torsion_order,
 )
+from ellorders.torsion import _integer_cubic_roots
 
 
 def _pmul(a, b):
@@ -407,6 +411,21 @@ class TestTorsionOverQ:
                     continue
                 assert count_points_fp(c, p).count % order == 0
 
+    def test_bound_not_a_multiple_of_the_order_is_refused(self, monkeypatch):
+        walk = torsion.prime_walk
+
+        def skewed(c, lo, X, keep=None):
+            for p, n in walk(c, lo, X, keep):
+                yield p, n + 1
+
+        monkeypatch.setattr(torsion, "prime_walk", skewed)
+        torsion_over_Q.cache_clear()
+        try:
+            with pytest.raises(DataIntegrityError):
+                torsion_over_Q(curve([1, -1, 1, -199, 510]))
+        finally:
+            torsion_over_Q.cache_clear()
+
     def test_huge_discriminant_refused(self):
         c = curve([0, 0, 0, 0, 999999937])
         with pytest.raises(ResourceError):
@@ -476,3 +495,85 @@ class TestQuadraticTorsion:
             bound = quadratic_torsion_bound(c, d, 2000)
             options = quadratic_growth_options(base)
             assert any(bound % (h1 * h2) == 0 for h1, h2 in options)
+
+
+_INVARIANCE_CURVES = (
+    [0, 1, 0, -1, 0],
+    [1, -1, 1, -199, 510],
+    [1, 1, 0, -700, 34000],
+    [0, 1, 0, -333, -3537],
+    [1, -1, 0, -1773, -5720],
+    [1, 0, 1, -76, 298],
+)
+_small_rats = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_scalings = st.tuples(
+    st.sampled_from((1, -1)),
+    st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12),
+).map(lambda su: su[0] * su[1])
+
+
+class TestModelIndependence:
+    @given(st.sampled_from(_INVARIANCE_CURVES), _small_rats, _small_rats,
+           _small_rats, _scalings)
+    @settings(max_examples=50, deadline=None)
+    def test_torsion_is_invariant_under_transformed(self, ai, r, s, t, u):
+        c = curve(ai)
+        moved = transformed(c, r=r, s=s, t=t, u=u)
+        tors = torsion_over_Q(moved)
+        assert tors.structure == torsion_over_Q(c).structure
+        for pt in tors.generators:
+            assert _on_input_model(moved, pt)
+
+    @pytest.mark.parametrize("u", [Fraction(1, 10**20), Fraction(1, 10**40), 100])
+    def test_far_from_minimal_models_of_cyclic_four(self, u):
+        moved = transformed(curve([1, -1, 1, -199, 510]), u=u)
+        tors = torsion_over_Q(moved)
+        assert tors.structure == (1, 4)
+        for pt in tors.generators:
+            assert _on_input_model(moved, pt)
+
+
+def _brute_roots(A, c, reach=60):
+    return [x for x in range(-reach, reach + 1) if x**3 + A * x + c == 0]
+
+
+class TestIntegerCubicRoots:
+    def test_matches_brute_force_on_a_grid(self):
+        # every root of these has |x| <= max(sqrt(2|A|), cbrt(2|c|)) < 60
+        for A in range(-120, 121, 3):
+            consts = set(range(-600, 601, 25))
+            consts |= {-(x**3 + A * x) + d for x in range(-15, 16) for d in (-1, 0, 1)}
+            for c in consts:
+                assert _integer_cubic_roots(A, c) == _brute_roots(A, c), (A, c)
+
+    def test_planted_roots_up_to_ten_to_the_forty(self):
+        rng = random.Random(9)
+        for _ in range(200):
+            r1 = rng.randint(-10**40, 10**40)
+            r2 = rng.choice((r1, -r1, rng.randint(-10**40, 10**40)))
+            # (x - r1)(x - r2)(x + r1 + r2) = x^3 + Ax + c
+            A = r1 * r2 - (r1 + r2) ** 2
+            c = r1 * r2 * (r1 + r2)
+            assert _integer_cubic_roots(A, c) == sorted({r1, r2, -r1 - r2})
+            assert _integer_cubic_roots(A, c + 1) == []
+
+    def test_double_root(self):
+        # x^3 - 3x + 2 = (x - 1)^2 (x + 2)
+        assert _integer_cubic_roots(-3, 2) == [-2, 1]
+        assert _integer_cubic_roots(-3, -2) == [-1, 2]
+
+    def test_nonnegative_linear_term(self):
+        assert _integer_cubic_roots(0, 0) == [0]
+        assert _integer_cubic_roots(0, 8) == [-2]
+        assert _integer_cubic_roots(2, -3) == [1]  # (x - 1)(x^2 + x + 3)
+        assert _integer_cubic_roots(5, 1) == []
+
+    def test_constants_beyond_float_range(self):
+        big = 10**120
+        assert _integer_cubic_roots(5, -(big**3 + 5 * big)) == [big]
+        r1, r2 = 10**110, -3 * 10**105 + 7
+        A, c = r1 * r2 - (r1 + r2) ** 2, r1 * r2 * (r1 + r2)
+        assert abs(c) > 10**300
+        assert _integer_cubic_roots(A, c) == sorted({r1, r2, -r1 - r2})
+        assert _integer_cubic_roots(0, 10**400 + 1) == []
+        assert _integer_cubic_roots(0, -(10**402)) == [10**134]
