@@ -29,6 +29,8 @@ _SEGMENT_WIDTH = 1 << 20
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BOUND = 318665857834031151167461
 
+_TRIAL_BOUND = 10**7  # factorize's trial division limit
+
 
 def is_prime(n: int) -> bool:
     """Exact below _MR_BOUND; BPSW, with no known counterexample, above it."""
@@ -185,17 +187,17 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def primes_in_range(lo: int, hi: int, *, ceiling: int = SCAN_CEILING) -> list[int]:
+def primes_in_range(lo: int, hi: int) -> list[int]:
     """Primes p with lo <= p <= hi, ascending.
 
     Ranges past _SEGMENT_THRESHOLD are sieved in fixed-width segments.
-    Anything beyond the ceiling is refused rather than attempted.
+    Anything beyond SCAN_CEILING is refused rather than attempted.
     """
     if lo < 0 or hi < lo:
         raise InputError(f"bad prime range [{lo}, {hi}]")
-    if hi > ceiling:
+    if hi > SCAN_CEILING:
         raise ResourceError(
-            f"prime range end {hi} exceeds the scan ceiling {ceiling}"
+            f"prime range end {hi} exceeds the scan ceiling {SCAN_CEILING}"
         )
     if hi < 2:
         return []
@@ -238,8 +240,8 @@ def valuation(n, p: int):
     return v
 
 
-def factorize(n: int, *, bound: int = 10**7) -> dict[int, int]:
-    """Factor |n| by trial division up to bound.
+def factorize(n: int) -> dict[int, int]:
+    """Factor |n| by trial division up to _TRIAL_BOUND.
 
     A prime cofactor beyond the bound is accepted; a composite one means the
     input is out of scope for this package and raises ResourceError.
@@ -255,25 +257,25 @@ def factorize(n: int, *, bound: int = 10**7) -> dict[int, int]:
     q = 7
     # wheel over 7, 11, 13, ... stepping 2/4; plain alternation is enough here
     step = 4
-    while q * q <= n and q <= bound:
+    while q * q <= n and q <= _TRIAL_BOUND:
         while n % q == 0:
             factors[q] = factors.get(q, 0) + 1
             n //= q
         q += step
         step = 6 - step
     if n > 1:
-        if n <= bound * bound or is_prime(n):
+        if n <= _TRIAL_BOUND**2 or is_prime(n):
             factors[n] = factors.get(n, 0) + 1
         else:
             raise ResourceError(
-                f"composite cofactor {n} has no prime factor <= {bound}"
+                f"composite cofactor {n} has no prime factor <= {_TRIAL_BOUND}"
             )
     return factors
 
 
-def divisors(n: int, *, bound: int = 10**7) -> list[int]:
+def divisors(n: int) -> list[int]:
     """Sorted positive divisors of |n|."""
     out = [1]
-    for q, e in factorize(n, bound=bound).items():
+    for q, e in factorize(n).items():
         out = [d * q**k for d in out for k in range(e + 1)]
     return sorted(out)

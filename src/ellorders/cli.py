@@ -501,17 +501,17 @@ def kubert_check(fmt, curve_text, t, p):
     """Test a candidate x-coordinate for a point of odd prime order mod p."""
     vec = _int_vector(curve_text)
     verdict = check_kubert_conditions(vec, t, p)
-    lines = [f"accepted: {'yes' if verdict.accepted else 'no'}"]
+    pairs = [("accepted", "yes" if verdict.accepted else "no")]
     if verdict.reason:
-        lines.append(f"reason: {verdict.reason}")
+        pairs.append(("reason", verdict.reason))
     if verdict.psi_value is not None:
-        lines.append(f"division value: {verdict.psi_value}")
+        pairs.append(("division value", verdict.psi_value))
     if verdict.count is not None:
-        lines.append(f"points: {verdict.count}")
-    _emit(fmt, _payload("kubert-check", vec, x=t, order=p,
-                        accepted=verdict.accepted, reason=verdict.reason,
-                        psi_value=verdict.psi_value, count=verdict.count),
-          lines=lines)
+        pairs.append(("points", verdict.count))
+    _emit_record(fmt, _payload("kubert-check", vec, x=t, order=p,
+                               accepted=verdict.accepted, reason=verdict.reason,
+                               psi_value=verdict.psi_value, count=verdict.count),
+                 pairs)
     return 0 if verdict.accepted else 1
 
 

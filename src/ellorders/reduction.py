@@ -10,12 +10,13 @@ order finder counts good reductions in about O(q^(1/4)) group operations.
 It never computes a point order: each drawn point gives the set of Hasse
 window numbers that annihilate it, and their intersection pins |E|.
 
-A prime walk (prime_walk) hands blocks of primes to _count_chunk, which runs
-the F_p finder on a block's good primes above the crossover at once: one
-int64 numpy lane per prime, one draw per lane and round, Jacobian
-coordinates with one batched inversion per lane.  A lane that no round pins
-goes to the scalar finder, which with the table stays the oracle and the
-path for single counts.  Every count passes _checked_count.
+Every F_p count goes through _count_chunk, which alone picks the method: a
+single count is a block of one prime, and prime_walk hands it blocks of a
+prime range.  Good primes above the crossover run the F_p finder at once as
+int64 numpy lanes (one draw per lane and round, Jacobian coordinates, one
+batched inversion per lane); a lone lane, or one no round pins, goes to the
+scalar finder, and the table, the oracle, takes what that misses.  Every F_p
+count and every inert F_{p^2} order passes _checked_count.
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ _LANE_ROUNDS = 2
 CHUNK = 2048  # primes per survey job, and per prime-walk block at most
 
 # A prime walk's first block; later ones double up to CHUNK.  gcd_orders
-# mostly stops within a few primes, and lanes pay only in wide blocks: one
-# prime alone costs 2.2-3.8 ms in _count_chunk, 75-216 us in the scalar
-# finder, and 40 lanes break even with that only near p = 3*10^4.
+# mostly stops within a few primes, and lanes pay only in wide blocks: a
+# round of one lane costs 2.2-3.8 ms, the scalar finder 75-216 us (so a
+# lone lane runs none), and 40 lanes break even only near p = 3*10^4.
 _WALK_FIRST = 64
 
 # Enumeration bound for the quadratic-field residue degree two oracle.
@@ -350,9 +351,7 @@ def bad_primes(c: CurveQ) -> frozenset:
     """Primes where the p-minimal model has bad reduction."""
     ai = _ints(c)
     return frozenset(
-        p for p in factorize(_invariant_kernel(ai)[6])
-        if _local_data_ints(ai, p).rtype is not ReductionType.GOOD
-    )
+        p for p in factorize(_invariant_kernel(ai)[6]) if not _is_good(ai, p))
 
 
 def smooth_locus_order(ld: LocalData) -> int:
@@ -373,9 +372,8 @@ def _count_model_mod_p(ai, p: int) -> int:
     """Projective points of the reduction of an integral model mod p.
 
     Valid for good and bad reduction alike: the residue character sum counts
-    points of the possibly singular reduced cubic.  Above _FINDER_CROSSOVER
-    a nonsingular reduction goes to the order finder instead, with the
-    character sum as its fallback.
+    points of the possibly singular reduced cubic.  It is the oracle the
+    order finders are tested against; _count_chunk decides when it runs.
     """
     if p == 2:
         a1, a2, a3, a4, a6 = (a % 2 for a in ai)
@@ -385,12 +383,7 @@ def _count_model_mod_p(ai, p: int) -> int:
                 if (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % 2 == 0:
                     count += 1
         return count
-    b2, b4, b6, _, c4, c6, disc = _invariant_kernel(ai)
-    if p > _FINDER_CROSSOVER and disc % p:
-        rng = _finder_rng(p, (a % p for a in ai))
-        n = _fp_finder_count(c4, c6, p, rng)
-        if n is not None:
-            return n
+    b2, b4, b6, *_ = _invariant_kernel(ai)
     b2 %= p
     d4 = (2 * b4) % p
     b6 %= p
@@ -408,16 +401,15 @@ def count_points_fp(c: CurveQ, p: int) -> PointCount:
     """|E(F_p)| on the p-minimal model; the trace is set only for good p."""
     if not is_prime(p):
         raise InputError(f"point count needs a prime, got {p}")
-    if p > COUNT_CEILING:
-        raise ResourceError(f"point count at {p} exceeds ceiling {COUNT_CEILING}")
     ai = _ints(c)
-    ld = None
-    if _invariant_kernel(ai)[6] % p == 0:
-        ld = _local_data_ints(ai, p)
-        ai = ld.minimal_ainvs
-    n = _checked_count(p, _count_model_mod_p(ai, p), ld)
-    good = ld is None or ld.rtype is ReductionType.GOOD
-    return PointCount(p, 1, n, p + 1 - n if good else None)
+    [n] = _count_chunk(ai, [p])
+    return PointCount(p, 1, n, p + 1 - n if _is_good(ai, p) else None)
+
+
+def _is_good(ai, p) -> bool:
+    """Whether the curve with integral model ai has good reduction at p."""
+    return bool(_invariant_kernel(ai)[6] % p) or (
+        _local_data_ints(ai, p).rtype is ReductionType.GOOD)
 
 
 def _checked_count(p, n, ld=None):
@@ -491,10 +483,10 @@ def twist_count_identity_check(c: CurveQ, p: int) -> bool:
     d = 2
     while legendre(d, p) != -1:
         d += 1
-    n_e = _count_model_mod_p((0, a2, 0, a4, a6), p)
-    n_tw = _count_model_mod_p(
-        (0, a2 * d % p, 0, a4 * d * d % p, a6 * pow(d, 3, p)), p)
-    base = _count_model_mod_p(ai, p)
+    [n_e] = _count_chunk((0, a2, 0, a4, a6), [p])
+    [n_tw] = _count_chunk(
+        (0, a2 * d % p, 0, a4 * d * d % p, a6 * pow(d, 3, p)), [p])
+    [base] = _count_chunk(ai, [p])
     return n_e == base and n_e + n_tw == 2 * p + 2
 
 
@@ -551,12 +543,10 @@ def count_at_quadratic_prime(c: CurveQ, d: int, p: int) -> int:
     if p == 2:
         raise UnsupportedPrimeError("residue counts at 2 are not supported")
     ai = _ints(c)
-    if _invariant_kernel(ai)[6] % p == 0:
-        ld = _local_data_ints(ai, p)
-        if ld.rtype is not ReductionType.GOOD:
-            raise BadReductionError(f"bad reduction at {p}")
-        ai = ld.minimal_ainvs
-    return _residue_order(_count_model_mod_p(ai, p), p, sp.kind is SplitKind.SPLIT)
+    if not _is_good(ai, p):
+        raise BadReductionError(f"bad reduction at {p}")
+    [n] = _count_chunk(ai, [p])
+    return _residue_order(n, p, sp.kind is SplitKind.SPLIT)
 
 
 def _residue_order(n, p, split):
@@ -858,24 +848,26 @@ def _lane_affine(X, Y, Z, P):
     return X * zi2 % P, Y * (zi2 * zi % P) % P
 
 
-def _lane_round(ps, a4s, a6s, rng):
+def _lane_round(ps, c4s, c6s, rng):
     """One order-finder draw per lane: |E(F_p)| where it is pinned, else None.
 
-    ps are good primes above the crossover and a4s, a6s the short model's
-    coefficients mod each.  Each lane draws (x f, f^2) as the scalar finder
-    does and lists the annihilators of that point in its Hasse window as
-    _window_annihilators defines them, with one m for all lanes: the first
-    x collision among j P, j = 1..m+1, gives the order, else giant steps
-    k P, k = lo + m + i (2m + 1), are matched against the baby x's.  A lane
-    is pinned when exactly one candidate is left.  None marks f = 0, a
-    degenerate addition or several candidates; an empty set raises.
+    ps are good primes above the crossover and c4s, c6s the model's c4, c6
+    at each, as _fp_finder_count takes them.  Each lane draws (x f, f^2) as
+    the scalar finder does and lists the annihilators of that point in its
+    Hasse window as _window_annihilators defines them, with one m for all
+    lanes: the first x collision among j P, j = 1..m+1, gives the order,
+    else giant steps k P, k = lo + m + i (2m + 1), are matched against the
+    baby x's.  A lane is pinned when exactly one candidate is left.  None
+    marks f = 0, a degenerate addition or several candidates; an empty set
+    raises.
     """
     L = len(ps)
     P = np.array(ps, dtype=np.int64)
-    a4 = np.array(a4s, dtype=np.int64)
+    a4 = np.array([-27 * c % p for c, p in zip(c4s, ps)], dtype=np.int64)
+    a6 = np.array([-54 * c % p for c, p in zip(c6s, ps)], dtype=np.int64)
     bits = rng.getrandbits(32 * L).to_bytes(4 * L, "little")
     x = np.frombuffer(bits, dtype=np.uint32).astype(np.int64) * P >> 32
-    f = ((x * x % P + a4) * x + np.array(a6s, dtype=np.int64)) % P
+    f = ((x * x % P + a4) * x + a6) % P
     drawn = f != 0
     f[~drawn] = 1
     ff = f * f % P
@@ -961,10 +953,12 @@ def _lane_round(ps, a4s, a6s, rng):
 def _count_chunk(ai, primes) -> list:
     """N_p on the p-minimal model at each prime of a block, checked.
 
-    Good p above the crossover run as lanes, _LANES at a time, with draws
-    from one generator seeded by the model and the first prime.  The other
-    primes, and every lane that _LANE_ROUNDS rounds leave unpinned, go to
-    _count_model_mod_p, which stays the single-prime path and the oracle.
+    The one place that picks a count's method, single counts included.
+    Good p above the crossover run as lanes, _LANES at a time and two or
+    more a round, with draws from one generator seeded by the model and the
+    first prime.  A lone lane, and every lane _LANE_ROUNDS rounds leave
+    unpinned, goes to _fp_finder_count; all other primes, and its misses,
+    go to the table _count_model_mod_p.
     """
     if not primes:
         return []
@@ -974,7 +968,7 @@ def _count_chunk(ai, primes) -> list:
     inv = _invariant_kernel(ai)
     out = [0] * len(primes)
     lds = [None] * len(primes)
-    lanes = []  # (index, p, model, a4, a6)
+    lanes = []  # (index, p, model, c4, c6)
     for i, p in enumerate(primes):
         model, c4, c6, disc = ai, *inv[4:]
         if disc % p == 0:
@@ -982,23 +976,28 @@ def _count_chunk(ai, primes) -> list:
             model = lds[i].minimal_ainvs
             c4, c6, disc = _invariant_kernel(model)[4:]
         if p > _FINDER_CROSSOVER and disc % p:
-            lanes.append((i, p, model, -27 * c4 % p, -54 * c6 % p))
+            lanes.append((i, p, model, c4, c6))
         else:
             out[i] = _count_model_mod_p(model, p)
-    rng = _finder_rng(primes[0], ai)
+    rng = None
     for _ in range(_LANE_ROUNDS):
         left = []
         for start in range(0, len(lanes), _LANES):
             batch = lanes[start:start + _LANES]
-            _, ps, _, a4s, a6s = zip(*batch)
-            for lane, n in zip(batch, _lane_round(ps, a4s, a6s, rng)):
+            if len(batch) < 2:
+                left += batch
+                continue
+            rng = rng or _finder_rng(primes[0], ai)
+            _, ps, _, c4s, c6s = zip(*batch)
+            for lane, n in zip(batch, _lane_round(ps, c4s, c6s, rng)):
                 if n is None:
                     left.append(lane)
                 else:
                     out[lane[0]] = n
         lanes = left
-    for i, p, model, _, _ in lanes:
-        out[i] = _count_model_mod_p(model, p)
+    for i, p, model, c4, c6 in lanes:
+        n = _fp_finder_count(c4, c6, p, _finder_rng(p, (a % p for a in model)))
+        out[i] = _count_model_mod_p(model, p) if n is None else n
     return list(map(_checked_count, primes, out, lds))
 
 
@@ -1103,9 +1102,9 @@ def count_curveK_at_prime(c: CurveK, p: int) -> list:
     if sp.kind is SplitKind.RAMIFIED:
         raise UnsupportedPrimeError(f"{p} ramifies in Q(sqrt {d})")
     inv = invariants_K(c)
+    inv2 = pow(2, p - 2, p)
     if sp.kind is SplitKind.SPLIT:
         root = sqrt_mod(d % p, p)
-        inv2 = pow(2, p - 2, p)
         counts = []
         for rt in (root, p - root):
             def emb(z: QuadInt) -> int:
@@ -1113,13 +1112,9 @@ def count_curveK_at_prime(c: CurveK, p: int) -> list:
                 return ((u + v * rt) * inv2) % p
             if emb(inv.disc) == 0:
                 raise BadReductionError(f"bad reduction above {p} (split)")
-            ai = tuple(emb(a) for a in c.ainvs)
-            counts.append(_count_model_mod_p(ai, p))
+            counts += _count_chunk(tuple(emb(a) for a in c.ainvs), [p])
         return counts
     # inert: residue field F_{p^2} = F_p(sqrt d)
-    r = d % p
-    inv2 = pow(2, p - 2, p)
-
     def embq(z: QuadInt):
         u, v = z.doubled()
         return ((u * inv2) % p, (v * inv2) % p)
@@ -1128,4 +1123,5 @@ def count_curveK_at_prime(c: CurveK, p: int) -> list:
         raise BadReductionError(f"bad reduction above {p} (inert)")
     ai = tuple(embq(a) for a in c.ainvs)
     b246 = (embq(inv.b2), embq(inv.b4), embq(inv.b6))
-    return [_fq_group_order(ai, p, r, b246, (embq(inv.c4), embq(inv.c6)))]
+    n = _fq_group_order(ai, p, d % p, b246, (embq(inv.c4), embq(inv.c6)))
+    return [_checked_count(p * p, n)]

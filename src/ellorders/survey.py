@@ -30,7 +30,6 @@ from .errors import (
 from .reduction import (
     CHUNK,
     _count_chunk,
-    _count_model_mod_p,
     _walk_primes,
     bad_primes,
     count_curveK_at_prime,
@@ -464,7 +463,7 @@ def check_kubert_conditions(A, T: int, p: int) -> KubertVerdict:
     psi = division_value_mod(curve(list(ai)), p, T, p)
     if psi:
         return KubertVerdict(False, "division polynomial nonzero at T", psi_value=psi)
-    n = _count_model_mod_p(ai, p)
+    [n] = _count_chunk(ai, [p])
     if n % p:
         raise DataIntegrityError(f"accepted tuple has count {n} not divisible by {p}")
     return KubertVerdict(True, psi_value=0, count=n)

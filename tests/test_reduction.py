@@ -364,13 +364,6 @@ class TestCurveKCounts:
             count_curveK_at_prime(everywhere_good_33(), 2)
 
 
-def _table_count(ai, p, monkeypatch):
-    """The numpy residue table's count, whatever the crossover."""
-    with monkeypatch.context() as m:
-        m.setattr(reduction, "_FINDER_CROSSOVER", 10**9)
-        return _count_model_mod_p(ai, p)
-
-
 def _reduce_quad(p):
     inv2 = pow(2, p - 2, p)
 
@@ -386,10 +379,10 @@ class TestOrderFinder:
     # 2-torsion, and the first density curve
     CURVES = ((0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 1, 0, -2, 0), (1, 1, 0, -700, 34000))
 
-    def test_fp_finder_matches_table(self, monkeypatch):
+    def test_fp_finder_matches_table(self):
         # every good p from Mestre's bound to 5000, the crossover before the
         # finder stopped computing point orders, and at least 2000 above the
-        # crossover, where _count_model_mod_p uses it
+        # crossover, where count_points_fp uses it
         cross = reduction._FINDER_CROSSOVER
         primes = primes_in_range(230, max(5000, cross + 2000))
         supersingular = 0
@@ -398,11 +391,11 @@ class TestOrderFinder:
             for p in primes:
                 if disc % p == 0:
                     continue
-                want = _table_count(ai, p, monkeypatch)
+                want = _count_model_mod_p(ai, p)
                 got = _fp_finder_count(c4, c6, p, _finder_rng(p, ai))
                 assert got == want, (ai, p)
                 if p > cross:
-                    assert _count_model_mod_p(ai, p) == want
+                    assert count_points_fp(curve(list(ai)), p).count == want
                 supersingular += want == p + 1
         assert supersingular > 200
 
@@ -423,7 +416,7 @@ class TestOrderFinder:
     def test_fallbacks_return_the_oracle_values(self, monkeypatch):
         ai = self.CURVES[3]
         p = primes_in_range(reduction._FINDER_CROSSOVER + 1, 10**5)[0]
-        want = _table_count(ai, p, monkeypatch)
+        want = _count_model_mod_p(ai, p)
         ck = everywhere_good_6()
         inv, q, red = invariants_K(ck), 229, _reduce_quad(229)
         assert splitting(6, q).kind is SplitKind.INERT
@@ -434,7 +427,7 @@ class TestOrderFinder:
         monkeypatch.setattr(reduction, "_FINDER_DRAWS", 0)
         _, _, _, _, c4, c6, _ = _invariant_kernel(ai)
         assert _fp_finder_count(c4, c6, p, _finder_rng(p, ai)) is None
-        assert _count_model_mod_p(ai, p) == want
+        assert _count_chunk(ai, [p]) == [want]
         assert _fq_group_order(*args) == want_q
 
     def test_window_without_annihilator_raises(self):
@@ -483,7 +476,7 @@ class TestLaneFinder:
         for ai in TestOrderFinder.CURVES:
             disc = _invariant_kernel(ai)[6]
             primes = [p for p in primes_in_range(cross + 1, cross + 2000) if disc % p]
-            wants[ai] = primes, [_table_count(ai, p, monkeypatch) for p in primes]
+            wants[ai] = primes, [_count_model_mod_p(ai, p) for p in primes]
         seen = self._pinned(monkeypatch)
         for ai, (primes, want) in wants.items():
             assert _count_chunk(ai, primes) == want, ai
@@ -499,6 +492,18 @@ class TestLaneFinder:
         seen = self._pinned(monkeypatch)
         assert _count_chunk(ai, primes) == want
         assert seen[1] > 0.9 * len(primes)
+
+    def test_single_count_is_one_chunk_without_a_lane_round(self, monkeypatch):
+        ai = TestOrderFinder.CURVES[3]
+        p = primes_in_range(reduction._FINDER_CROSSOVER + 1, 10**5)[0]
+        chunks = []
+        real = reduction._count_chunk
+        monkeypatch.setattr(reduction, "_count_chunk",
+                            lambda ai, ps: chunks.append(ps) or real(ai, ps))
+        seen = self._pinned(monkeypatch)
+        assert count_points_fp(curve(list(ai)), p).count == _count_model_mod_p(ai, p)
+        assert chunks == [[p]]
+        assert seen[0] == 0
 
     def test_chunk_refuses_primes_above_count_ceiling(self):
         with pytest.raises(ResourceError):
@@ -522,8 +527,7 @@ class TestLaneFinder:
         ps = primes_in_range(3000, 3200)
         monkeypatch.setattr(reduction, "_hasse_window", lambda q: (q + 1, q + 1))
         with pytest.raises(DataIntegrityError):
-            _lane_round(ps, [-27 * c4 % p for p in ps], [-54 * c6 % p for p in ps],
-                        random.Random(0))
+            _lane_round(ps, [c4] * len(ps), [c6] * len(ps), random.Random(0))
         with pytest.raises(DataIntegrityError):
             _fp_finder_count(c4, c6, 3001, _finder_rng(3001, ai))
 

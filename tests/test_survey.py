@@ -378,6 +378,21 @@ class TestGcdOrdersQuadratic:
         with pytest.raises(InputError):
             gcd_orders_quadratic(everywhere_good_33(), X=99)
 
+    def test_split_count_outside_the_hasse_window_raises(self, monkeypatch):
+        # 17 splits in Q(sqrt 33)
+        _lie_at_good_primes(monkeypatch)
+        with pytest.raises(DataIntegrityError, match="Hasse"):
+            reduction.count_at_quadratic_prime(curve(SIX_CURVE), 33, 17)
+        with pytest.raises(DataIntegrityError, match="Hasse"):
+            reduction.count_curveK_at_prime(curve_K(SIX_CURVE, 33), 17)
+
+    def test_inert_order_outside_the_hasse_window_raises(self, monkeypatch):
+        # 7 is inert in Q(sqrt 33); p^2 + 2p + 2 is one past the window's top
+        monkeypatch.setattr(reduction, "_fq_group_order",
+                            lambda ai, p, *_: p * p + 2 * p + 2)
+        with pytest.raises(DataIntegrityError, match="Hasse"):
+            reduction.count_curveK_at_prime(curve_K(SIX_CURVE, 33), 7)
+
 
 class TestScanSupersingular:
     def test_exact_set_mod_three(self):
