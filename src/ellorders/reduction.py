@@ -12,11 +12,13 @@ window numbers that annihilate it, and their intersection pins |E|.
 
 Every F_p count goes through _count_chunk, which alone picks the method: a
 single count is a block of one prime, and prime_walk hands it blocks of a
-prime range.  Good primes above the crossover run the F_p finder at once as
+prime range.  Good primes above the lane floor run the F_p finder at once as
 int64 numpy lanes (one draw per lane and round, Jacobian coordinates, one
-batched inversion per lane); a lone lane, or one no round pins, goes to the
-scalar finder, and the table, the oracle, takes what that misses.  Every F_p
-count and every inert F_{p^2} order passes _checked_count.
+batched inversion per lane), in rounds of at least _LANE_MIN lanes.  Every
+other prime, and every lane no round pins, goes to the scalar finder above
+the crossover and to the table, the oracle, below it; the table also takes
+what the scalar finder misses.  Every F_p count and every inert F_{p^2}
+order passes _checked_count.
 """
 
 from __future__ import annotations
@@ -54,10 +56,17 @@ from .errors import (
 # here: its largest product, 4 p^2, stays below 4*10^14.
 COUNT_CEILING = 10**7
 
-# Good F_p counts above this prime use the order finder, below it the numpy
-# table: near 2500 the two cost the same per call (about 0.09 ms on a 2-vCPU
-# Xeon, CPython 3.11, numpy 2.4).  Never below Mestre's bound 229.
+# Good F_p counts that run in no lane round use the scalar order finder above
+# this prime, and the numpy table below it: near 2500 the two cost the same
+# per call (about 0.09 ms on a 2-vCPU Xeon, CPython 3.11, numpy 2.4).  Never
+# below Mestre's bound 229.
 _FINDER_CROSSOVER = 2500
+
+# Good F_p counts of a block above this prime are lanes.  In a block of 64,
+# lanes plus fallbacks cost 31-41 us a prime in [1000, 1500] against the
+# table's 45-53 us, and 26-39 us against 57-73 us with 192 lanes in
+# [1000, 2500]; in [500, 1000] the two are even (same box).
+_LANE_FLOOR = 1000
 
 # Points an order finder draws before its caller falls back to its oracle.
 _FINDER_DRAWS = 40
@@ -70,18 +79,23 @@ _FINDER_DRAWS = 40
 # Xeon, CPython 3.11, numpy 2.4).
 _LANES = 256
 
-# Lane rounds before an unpinned prime goes to the scalar finder.  A second
-# round over the lanes the first leaves (14% near p = 2500, 4% near 3*10^4)
-# costs less than their scalar counts; a third measured no faster.
+# Lane rounds before an unpinned prime leaves the lanes.  A second round over
+# the lanes the first leaves (14% near p = 2500, 4% near 3*10^4) costs less
+# than their scalar counts; a third measured no faster.
 _LANE_ROUNDS = 2
 
 CHUNK = 2048  # primes per survey job, and per prime-walk block at most
 
-# A prime walk's first block; later ones double up to CHUNK.  gcd_orders
-# mostly stops within a few primes, and lanes pay only in wide blocks: a
-# round of one lane costs 2.2-3.8 ms, the scalar finder 75-216 us (so a
-# lone lane runs none), and 40 lanes break even only near p = 3*10^4.
-_WALK_FIRST = 64
+# Fewest lanes a round runs on; a narrower batch goes to the scalar finder
+# or the table.  A round in [1000, 5000] costs 2.5-3.3 ms at any width from
+# 2 to 64 lanes (5.7 ms at 256), and a table count there 50-100 us, so two
+# rounds of 4-32 lanes cost 110-330 us a prime (same box).
+_LANE_MIN = 32
+
+# A prime walk's first block; later ones double up to CHUNK.  torsion_over_Q
+# checks its stop every 8 primes, and gcd_orders and quadratic_torsion_bound
+# mostly stop within a few, so a small first block counts little past a stop.
+_WALK_FIRST = 8
 
 # Enumeration bound for the quadratic-field residue degree two oracle.
 FP2_DIRECT_CEILING = 200
@@ -784,7 +798,7 @@ def _fp_finder_count(c4, c6, p, rng):
 
 # ---------------------------------------------------------------------------
 # The same finder over many primes at once: each good p of a survey chunk
-# above the crossover is one int64 lane holding its own p, a4 and a6, and
+# above the lane floor is one int64 lane holding its own p, a4 and a6, and
 # every group operation is a handful of numpy calls across the lanes.
 # Points are Jacobian (X : Y : Z), x = X/Z^2 and y = Y/Z^3, with Z = 0 the
 # identity; both formulas below leave Z = 0 on a degenerate input, and
@@ -851,7 +865,7 @@ def _lane_affine(X, Y, Z, P):
 def _lane_round(ps, c4s, c6s, rng):
     """One order-finder draw per lane: |E(F_p)| where it is pinned, else None.
 
-    ps are good primes above the crossover and c4s, c6s the model's c4, c6
+    ps are good primes above the lane floor and c4s, c6s the model's c4, c6
     at each, as _fp_finder_count takes them.  Each lane draws (x f, f^2) as
     the scalar finder does and lists the annihilators of that point in its
     Hasse window as _window_annihilators defines them, with one m for all
@@ -954,11 +968,12 @@ def _count_chunk(ai, primes) -> list:
     """N_p on the p-minimal model at each prime of a block, checked.
 
     The one place that picks a count's method, single counts included.
-    Good p above the crossover run as lanes, _LANES at a time and two or
-    more a round, with draws from one generator seeded by the model and the
-    first prime.  A lone lane, and every lane _LANE_ROUNDS rounds leave
-    unpinned, goes to _fp_finder_count; all other primes, and its misses,
-    go to the table _count_model_mod_p.
+    Good p above _LANE_FLOOR are lanes, run _LANES at a time in rounds of
+    at least _LANE_MIN, with draws from one generator seeded by the model
+    and the first prime.  Every other prime, and every lane that no round
+    runs or _LANE_ROUNDS rounds leave unpinned, goes to _fp_finder_count
+    above _FINDER_CROSSOVER and to the table _count_model_mod_p below it;
+    the table also takes the scalar finder's misses.
     """
     if not primes:
         return []
@@ -975,7 +990,7 @@ def _count_chunk(ai, primes) -> list:
             lds[i] = _local_data_ints(ai, p)
             model = lds[i].minimal_ainvs
             c4, c6, disc = _invariant_kernel(model)[4:]
-        if p > _FINDER_CROSSOVER and disc % p:
+        if p > _LANE_FLOOR and disc % p:
             lanes.append((i, p, model, c4, c6))
         else:
             out[i] = _count_model_mod_p(model, p)
@@ -984,7 +999,7 @@ def _count_chunk(ai, primes) -> list:
         left = []
         for start in range(0, len(lanes), _LANES):
             batch = lanes[start:start + _LANES]
-            if len(batch) < 2:
+            if len(batch) < _LANE_MIN:
                 left += batch
                 continue
             rng = rng or _finder_rng(primes[0], ai)
@@ -996,7 +1011,9 @@ def _count_chunk(ai, primes) -> list:
                     out[lane[0]] = n
         lanes = left
     for i, p, model, c4, c6 in lanes:
-        n = _fp_finder_count(c4, c6, p, _finder_rng(p, (a % p for a in model)))
+        n = None
+        if p > _FINDER_CROSSOVER:
+            n = _fp_finder_count(c4, c6, p, _finder_rng(p, (a % p for a in model)))
         out[i] = _count_model_mod_p(model, p) if n is None else n
     return list(map(_checked_count, primes, out, lds))
 

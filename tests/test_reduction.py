@@ -470,17 +470,52 @@ class TestLaneFinder:
         monkeypatch.setattr(reduction, "_lane_round", spy)
         return seen
 
-    def test_chunk_matches_table_above_crossover(self, monkeypatch):
-        cross = reduction._FINDER_CROSSOVER
+    def _matches_table(self, monkeypatch, lo, hi):
+        """_count_chunk on each curve's good primes in [lo, hi] equals the
+        table, and the lanes pin most of them."""
         wants = {}
         for ai in TestOrderFinder.CURVES:
             disc = _invariant_kernel(ai)[6]
-            primes = [p for p in primes_in_range(cross + 1, cross + 2000) if disc % p]
+            primes = [p for p in primes_in_range(lo, hi) if disc % p]
             wants[ai] = primes, [_count_model_mod_p(ai, p) for p in primes]
         seen = self._pinned(monkeypatch)
         for ai, (primes, want) in wants.items():
             assert _count_chunk(ai, primes) == want, ai
         assert seen[1] > 0.8 * sum(len(ps) for ps, _ in wants.values())
+
+    def test_chunk_matches_table_above_crossover(self, monkeypatch):
+        cross = reduction._FINDER_CROSSOVER
+        self._matches_table(monkeypatch, cross + 1, cross + 2000)
+
+    def test_chunk_matches_table_between_lane_floor_and_crossover(self, monkeypatch):
+        self._matches_table(monkeypatch, reduction._LANE_FLOOR + 1,
+                            reduction._FINDER_CROSSOVER)
+
+    def test_narrow_chunk_runs_no_lane_round(self, monkeypatch):
+        ai = TestOrderFinder.CURVES[3]
+        disc = _invariant_kernel(ai)[6]
+        primes = [p for p in primes_in_range(reduction._FINDER_CROSSOVER + 1, 10**4)
+                  if disc % p][:reduction._LANE_MIN - 1]
+        want = [_count_model_mod_p(ai, p) for p in primes]
+        seen = self._pinned(monkeypatch)
+        assert _count_chunk(ai, primes) == want
+        assert seen[0] == 0
+
+    def test_one_prime_chunk_above_lane_floor_is_a_table_count(self, monkeypatch):
+        ai = TestOrderFinder.CURVES[3]
+        disc = _invariant_kernel(ai)[6]
+        p = next(p for p in primes_in_range(reduction._LANE_FLOOR + 1,
+                                            reduction._FINDER_CROSSOVER) if disc % p)
+        want = _count_model_mod_p(ai, p)
+        tables = []
+        real = reduction._count_model_mod_p
+        monkeypatch.setattr(reduction, "_count_model_mod_p",
+                            lambda ai, p: tables.append(p) or real(ai, p))
+        monkeypatch.setattr(reduction, "_fp_finder_count", None)
+        seen = self._pinned(monkeypatch)
+        assert _count_chunk(ai, [p]) == [want]
+        assert tables == [p]
+        assert seen[0] == 0
 
     def test_chunk_matches_scalar_finder_near_count_ceiling(self, monkeypatch):
         ai = TestOrderFinder.CURVES[3]

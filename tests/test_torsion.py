@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellorders import torsion
+from ellorders import reduction, torsion
 from ellorders.arith import legendre, primes_in_range, sqrt_mod
 from ellorders.curve import (
     curve,
@@ -425,6 +425,43 @@ class TestTorsionOverQ:
                 torsion_over_Q(curve([1, -1, 1, -199, 510]))
         finally:
             torsion_over_Q.cache_clear()
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """Spy on reduction._count_chunk: the primes of every block counted."""
+        blocks = []
+        real = reduction._count_chunk
+        monkeypatch.setattr(reduction, "_count_chunk",
+                            lambda ai, ps: blocks.append(list(ps)) or real(ai, ps))
+        return blocks
+
+    def test_stop_at_the_first_check_counts_eight_primes(self, monkeypatch):
+        blocks = self._counted(monkeypatch)
+        torsion_over_Q.cache_clear()
+        try:
+            assert torsion_over_Q(curve([1, -1, 1, -199, 510])).structure == (1, 4)
+        finally:
+            torsion_over_Q.cache_clear()
+        assert sum(map(len, blocks)) == 8
+
+    def test_walk_to_the_end_counts_only_the_good_primes_to_4000(self, monkeypatch):
+        c = curve([0, 0, 0, -9, -11])
+        disc = int(invariants(integral_model(c)).disc)
+        blocks = self._counted(monkeypatch)
+        torsion_over_Q.cache_clear()
+        try:
+            assert torsion_over_Q(c).order == 1
+        finally:
+            torsion_over_Q.cache_clear()
+        assert [p for ps in blocks for p in ps] == [
+            p for p in primes_in_range(3, 4000) if disc % p]
+
+    def test_prime_walk_blocks_double_from_eight(self, monkeypatch):
+        blocks = self._counted(monkeypatch)
+        walked = list(reduction.prime_walk(curve([0, 0, 1, -1, 0]), 2, 50000))
+        widths = [8 << k for k in range(9)]
+        assert widths[-1] == reduction.CHUNK
+        assert [len(ps) for ps in blocks] == widths + [len(walked) - sum(widths)]
 
     def test_huge_discriminant_refused(self):
         c = curve([0, 0, 0, 0, 999999937])
