@@ -13,8 +13,6 @@ import re
 import tempfile
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -365,6 +363,11 @@ def _cache_write(entry, cache_dir):
 
 
 def _default_fetcher(label, endpoint, timeout, retries):
+    # imported here, not with the module: urllib.request loads ssl, http
+    # and email, about 7 MB of resident memory that offline work never uses
+    import urllib.error
+    import urllib.request
+
     url = endpoint.format(label=label)
     last = None
     for attempt in range(retries):

@@ -46,6 +46,8 @@ from .survey import (
     verify_family,
 )
 from .torsion import (
+    TorsionGroup,
+    _odd_part,
     odd_torsion_over_quadratic,
     quadratic_torsion_bound,
     torsion_over_Q,
@@ -180,15 +182,6 @@ def _payload(command, ainvs=None, **fields) -> dict:
     if ainvs is not None:
         payload["curve"] = [str(a) for a in ainvs]
     return payload
-
-
-def _structure_str(pair) -> str:
-    n1, n2 = pair
-    if n2 == 1:
-        return "trivial"
-    if n1 == 1:
-        return f"Z/{n2}"
-    return f"Z/{n1} x Z/{n2}"
 
 
 def guarded(fn):
@@ -552,17 +545,17 @@ def _corpus_rows(X, offline, cache_dir, threads):
                       f"{rec.label}: {v.context}")
             for v in rep.violations
         ]
-        tq = torsion_over_Q(c).structure
-        n1, n2 = exp.torsion_K
-        m_k = n1 * n2
-        odd_claim = m_k // (m_k & -m_k)
+        tq = torsion_over_Q(c)
+        tq_claim = TorsionGroup(*exp.torsion_Q, ())
+        tk_claim = TorsionGroup(*exp.torsion_K, ())
+        m_k = tk_claim.order
+        odd_claim = _odd_part(m_k)
         odd_got = odd_torsion_over_quadratic(c, exp.d)
         bound = quadratic_torsion_bound(c, exp.d, _CORPUS_BOUND_PRIME)
         torsion_failures = []
-        if tq != exp.torsion_Q:
+        if tq.structure != tq_claim.structure:
             torsion_failures.append(
-                f"rational torsion {_structure_str(tq)}, "
-                f"expected {_structure_str(exp.torsion_Q)}")
+                f"rational torsion {tq}, expected {tq_claim}")
         if odd_got != odd_claim:
             torsion_failures.append(
                 f"odd torsion over Q(sqrt {exp.d}) is {odd_got}, "
@@ -578,8 +571,8 @@ def _corpus_rows(X, offline, cache_dir, threads):
         out.append({
             "label": rec.label,
             "d": exp.d,
-            "torsion_q": _structure_str(exp.torsion_Q),
-            "torsion_k": _structure_str(exp.torsion_K),
+            "torsion_q": str(tq_claim),
+            "torsion_k": str(tk_claim),
             "primes": table.total,
             "rows_ok": rep.passed,
             "torsion_ok": not torsion_failures,

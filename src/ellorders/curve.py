@@ -98,6 +98,23 @@ def _invariant_kernel(ai):
     return b2, b4, b6, b8, c4, c6, disc
 
 
+def _transform_kernel(ai, r=0, s=0, t=0):
+    """u^i a_i' of x = u^2 x' + r, y = u^3 y' + s u^2 x' + t, in any ring.
+
+    The numerators of the new a1', a2', a3', a4', a6'; dividing them by u,
+    u^2, u^3, u^4 and u^6 gives the model.  Only +, -, * are used, as in
+    _invariant_kernel, so Tate's algorithm runs it on ints.
+    """
+    a1, a2, a3, a4, a6 = ai
+    return (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
+    )
+
+
 def invariants(c) -> Invariants:
     """Standard b, c, discriminant and j invariants.
 
@@ -115,13 +132,9 @@ def transformed(c: CurveQ, r=0, s=0, t=0, u=1) -> CurveQ:
     r, s, t, u = _rat(r), _rat(s), _rat(t), _rat(u)
     if u == 0:
         raise InputError("scaling factor u must be nonzero")
-    a1, a2, a3, a4, a6 = c.ainvs
-    b1 = (a1 + 2 * s) / u
-    b2_ = (a2 - s * a1 + 3 * r - s * s) / u**2
-    b3 = (a3 + r * a1 + 2 * t) / u**3
-    b4_ = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4
-    b6_ = (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6
-    return CurveQ(b1, b2_, b3, b4_, b6_, family=c.family)
+    n1, n2, n3, n4, n6 = _transform_kernel(c.ainvs, r, s, t)
+    return CurveQ(n1 / u, n2 / u**2, n3 / u**3, n4 / u**4, n6 / u**6,
+                  family=c.family)
 
 
 def short_model(c: CurveQ) -> CurveQ:

@@ -24,9 +24,11 @@ order passes _checked_count.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -38,6 +40,7 @@ from .curve import (
     QuadInt,
     _invariant_kernel,
     _squarefree,
+    _transform_kernel,
     integral_model,
     invariants_K,
 )
@@ -150,17 +153,6 @@ def _ints(c: CurveQ) -> tuple:
     return tuple(int(a) for a in ci.ainvs)
 
 
-def _transform_int(ai, r=0, s=0, t=0):
-    a1, a2, a3, a4, a6 = ai
-    return (
-        a1 + 2 * s,
-        a2 - s * a1 + 3 * r - s * s,
-        a3 + r * a1 + 2 * t,
-        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
-        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
-    )
-
-
 def _scale_down(ai, p):
     a1, a2, a3, a4, a6 = ai
     return (a1 // p, a2 // p**2, a3 // p**3, a4 // p**4, a6 // p**6)
@@ -193,7 +185,7 @@ def _tate_small(ai, p):
                 break
         if sing is None:
             raise DataIntegrityError(f"no singular point mod {p} despite v(disc) = {n}")
-        ai = _transform_int(ai, r=sing[0], t=sing[1])
+        ai = _transform_kernel(ai, r=sing[0], t=sing[1])
         a1, a2, a3, a4, a6 = ai
         b2, _, b6, b8, _, _, _ = _invariant_kernel(ai)
 
@@ -232,7 +224,7 @@ def _tate_small(ai, p):
             (x - y) % p == 0
             for x, y in ((c2, -3 * rep), (c4_, 3 * rep * rep), (c6_, -rep**3))
         )
-        ai = _transform_int(ai, r=p * rep)
+        ai = _transform_kernel(ai, r=p * rep)
         a1, a2, a3, a4, a6 = ai
 
         if not triple:
@@ -245,7 +237,7 @@ def _tate_small(ai, p):
                     m = 2 * q - 3
                     return Kodaira("I*", m), ReductionType.ADDITIVE, n, ai
                 y0 = next(Y for Y in range(p) if (Y * Y + A * Y - B) % p == 0)
-                ai = _transform_int(ai, t=p**q * y0)
+                ai = _transform_kernel(ai, t=p**q * y0)
                 a1, a2, a3, a4, a6 = ai
 
                 A2, A4, A6 = a2 // p, a4 // p ** (q + 1), a6 // p ** (2 * q + 1)
@@ -253,7 +245,7 @@ def _tate_small(ai, p):
                     m = 2 * q - 2
                     return Kodaira("I*", m), ReductionType.ADDITIVE, n, ai
                 t0 = next(T for T in range(p) if (A2 * T * T + A4 * T + A6) % p == 0)
-                ai = _transform_int(ai, r=p**q * t0)
+                ai = _transform_kernel(ai, r=p**q * t0)
                 a1, a2, a3, a4, a6 = ai
                 q += 1
 
@@ -262,7 +254,7 @@ def _tate_small(ai, p):
         if (A * A + 4 * B) % p != 0:
             return Kodaira("IV*"), ReductionType.ADDITIVE, n, ai
         y0 = next(Y for Y in range(p) if (Y * Y + A * Y - B) % p == 0)
-        ai = _transform_int(ai, t=p**2 * y0)
+        ai = _transform_kernel(ai, t=p**2 * y0)
         a1, a2, a3, a4, a6 = ai
 
         if a4 % p**4 != 0:
@@ -281,7 +273,7 @@ def _step6_normalise(ai, p):
             continue
         for r in range(p**3):
             for t in range(p**3):
-                cand = _transform_int(ai, r=r, s=s, t=t)
+                cand = _transform_kernel(ai, r=r, s=s, t=t)
                 if (
                     cand[0] % p == 0 and cand[1] % p == 0
                     and cand[2] % p**2 == 0 and cand[3] % p**2 == 0
@@ -580,72 +572,88 @@ def quadratic_walk(c: CurveQ, d: int, X: int):
 
 
 # ---------------------------------------------------------------------------
-# F_{p^2} arithmetic: elements are pairs (u, v) = u + v*s with s^2 = r.
+# The group law of a long Weierstrass model, once for any field (Silverman,
+# AEC III.2.3).  A field is F = (add, sub, mul, inv, zero); points are
+# (x, y) pairs of its elements, None is the point at infinity, and a6 never
+# enters.  _QQ is Q on Fractions; _fq_field(p, r) is F_{p^2} on pairs
+# (u, v) = u + v*s with s^2 = r, and r = 0 keeps F_p as the pairs (u, 0).
+# Torsion over Q, torsion's F_p helpers and the F_{p^2} order finder all add
+# here.  The F_p order finder keeps its own plain-int short law, _fp_law,
+# and the survey lanes their Jacobian numpy law: see there for why.
 
-
-def _fq_mul(a, b, p, r):
-    return ((a[0] * b[0] + r * a[1] * b[1]) % p, (a[0] * b[1] + a[1] * b[0]) % p)
-
-
-def _fq_inv(a, p, r):
-    nrm = _fq_norm(a, p, r)
-    if nrm == 0:
-        raise ZeroDivisionError("inverse of zero in F_p^2")
-    ni = pow(nrm, p - 2, p)
-    return ((a[0] * ni) % p, (-a[1] * ni) % p)
+_QQ = (operator.add, operator.sub, operator.mul, Fraction(1).__truediv__, Fraction(0))
 
 
 def _fq_norm(a, p, r):
     return (a[0] * a[0] - r * a[1] * a[1]) % p
 
 
-# Point group over F_{p^2} for a long Weierstrass model; points are
-# (x, y) pairs of field elements or None for the point at infinity.
+def _fq_field(p, r):
+    """F_{p^2} = F_p(s), s^2 = r, as (add, sub, mul, inv, zero) on pairs."""
+
+    def add(a, b):
+        return ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
+
+    def sub(a, b):
+        return ((a[0] - b[0]) % p, (a[1] - b[1]) % p)
+
+    def mul(a, b):
+        return ((a[0] * b[0] + r * a[1] * b[1]) % p, (a[0] * b[1] + a[1] * b[0]) % p)
+
+    def inv(a):
+        ni = pow(_fq_norm(a, p, r), -1, p)
+        return (a[0] * ni % p, -a[1] * ni % p)
+
+    return add, sub, mul, inv, (0, 0)
 
 
-def _fq_pt_neg(pt, ai, p, r):
+def _fq_mul(a, b, p, r):
+    """a * b in F_{p^2} = F_p(s), s^2 = r: the field's own product."""
+    return _fq_field(p, r)[2](a, b)
+
+
+def _pt_neg(pt, ai, F):
+    """-(x, y) = (x, -y - a1 x - a3)."""
     if pt is None:
         return None
+    add, sub, mul, _, zero = F
     a1, _, a3, _, _ = ai
     x, y = pt
-    my = _fq_mul((p - 1, 0), y, p, r)
-    t = _fq_mul(a1, x, p, r)
-    return (x, ((my[0] - t[0] - a3[0]) % p, (my[1] - t[1] - a3[1]) % p))
+    return (x, sub(sub(zero, y), add(mul(a1, x), a3)))
 
 
-def _fq_pt_add(pt1, pt2, ai, p, r):
+def _pt_add(pt1, pt2, ai, F):
+    """pt1 + pt2 on y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over F."""
     if pt1 is None:
         return pt2
     if pt2 is None:
         return pt1
+    add, sub, mul, inv, zero = F
     a1, a2, a3, a4, _ = ai
     x1, y1 = pt1
     x2, y2 = pt2
-    sub = lambda a, b: ((a[0] - b[0]) % p, (a[1] - b[1]) % p)
-    add = lambda a, b: ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
-    if x1 == x2 and add(add(y1, y2), add(_fq_mul(a1, x1, p, r), a3)) == (0, 0):
-        return None
     if x1 == x2:
-        num = add(
-            add(_fq_mul((3, 0), _fq_mul(x1, x1, p, r), p, r),
-                _fq_mul(_fq_mul((2, 0), a2, p, r), x1, p, r)),
-            sub(a4, _fq_mul(a1, y1, p, r)),
-        )
-        den = add(add(_fq_mul((2, 0), y1, p, r), _fq_mul(a1, x1, p, r)), a3)
+        # y2 is y1 or -y1 - a1 x1 - a3, so den is 0 for opposite points
+        # and 2 y1 + a1 x1 + a3, the doubling slope's denominator, otherwise
+        den = add(add(y1, y2), add(mul(a1, x1), a3))
+        if den == zero:
+            return None
+        xx = mul(x1, x1)
+        num = sub(add(add(add(xx, xx), xx), add(mul(add(a2, a2), x1), a4)),
+                  mul(a1, y1))
     else:
-        num = sub(y2, y1)
-        den = sub(x2, x1)
-    lam = _fq_mul(num, _fq_inv(den, p, r), p, r)
-    x3 = sub(sub(sub(add(_fq_mul(lam, lam, p, r), _fq_mul(a1, lam, p, r)), a2), x1), x2)
-    y3 = sub(sub(_fq_mul(lam, sub(x1, x3), p, r), y1),
-             add(_fq_mul(a1, x3, p, r), a3))
+        num, den = sub(y2, y1), sub(x2, x1)
+    lam = mul(num, inv(den))
+    x3 = sub(sub(sub(add(mul(lam, lam), mul(a1, lam)), a2), x1), x2)
+    y3 = sub(sub(mul(lam, sub(x1, x3)), y1), add(mul(a1, x3), a3))
     return (x3, y3)
 
 
 def _fq_pt_mul(k, pt, ai, p, r):
+    F = _fq_field(p, r)
     if k < 0:
-        k, pt = -k, _fq_pt_neg(pt, ai, p, r)
-    return _mul(k, pt, lambda P, Q: _fq_pt_add(P, Q, ai, p, r))
+        k, pt = -k, _pt_neg(pt, ai, F)
+    return _mul(k, pt, lambda P, Q: _pt_add(P, Q, ai, F))
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +674,13 @@ def _mul(k, pt, add):
 
 
 def _fp_law(a4, p):
-    """Affine addition on y^2 = x^3 + a4 x + a6 over F_p; a6 never enters."""
+    """Affine addition on y^2 = x^3 + a4 x + a6 over F_p; a6 never enters.
+
+    The scalar F_p finder's own law, kept apart from _pt_add on purpose:
+    on plain ints and the short model, a count near p = 3*10^4 takes
+    0.12 ms, against 0.57 ms on _pt_add over pairs (u, 0), which would move
+    the finder's crossover with the table far up.
+    """
 
     def add(pt1, pt2):
         if pt1 is None:
@@ -745,8 +759,9 @@ def _order_finder(q, draw, rng):
     """|E(F_q)| from the annihilator sets of points on E and on its twist E'.
 
     draw(rng) gives None or (pt, twisted, add): a point on E, or on E' when
-    twisted, with the group law it lives on.  |E| lies in the Hasse window,
-    is annihilated by every point of E, and |E'| = 2q + 2 - |E| by every
+    twisted, with the group law it lives on, _fp_law over F_p and _pt_add
+    on _fq_field(p, r) over F_{p^2}.  |E| lies in the Hasse window, is
+    annihilated by every point of E, and |E'| = 2q + 2 - |E| by every
     point of E'.  So each draw narrows the candidates to those whose
     (twist-mapped) value is in the point's annihilator set, which is the
     lcm test on the orders written as sets.  The first time one candidate
@@ -799,7 +814,9 @@ def _fp_finder_count(c4, c6, p, rng):
 # ---------------------------------------------------------------------------
 # The same finder over many primes at once: each good p of a survey chunk
 # above the lane floor is one int64 lane holding its own p, a4 and a6, and
-# every group operation is a handful of numpy calls across the lanes.
+# every group operation is a handful of numpy calls across the lanes.  This
+# is the third group law on purpose: one lane round costs 16-70 us per prime
+# where the scalar finder on _fp_law costs 90-470 us.
 # Points are Jacobian (X : Y : Z), x = X/Z^2 and y = Y/Z^3, with Z = 0 the
 # identity; both formulas below leave Z = 0 on a degenerate input, and
 # Z = 0 then stays 0 along a chain.  Values stay reduced mod p <=
@@ -1044,20 +1061,18 @@ def _fq_finder_count(c46, p, r, rng):
     (c4u, c4v), (c6u, c6v) = c46
     a4 = (-27 * c4u % p, -27 * c4v % p)
     a6 = (-54 * c6u % p, -54 * c6v % p)
+    F = _fq_field(p, r)
+    add, _, mul, _, zero = F
 
     def draw(rng):
         x = (rng.randrange(p), rng.randrange(p))
-        x2 = _fq_mul(x, x, p, r)
-        f = _fq_mul(((x2[0] + a4[0]) % p, (x2[1] + a4[1]) % p), x, p, r)
-        f = ((f[0] + a6[0]) % p, (f[1] + a6[1]) % p)
-        if f == (0, 0):
+        f = add(mul(add(mul(x, x), a4), x), a6)
+        if f == zero:
             return None
-        f2 = _fq_mul(f, f, p, r)
-        zero = (0, 0)
-        ai = (zero, zero, zero, _fq_mul(a4, f2, p, r),
-              _fq_mul(a6, _fq_mul(f2, f, p, r), p, r))
-        return ((_fq_mul(x, f, p, r), f2), _euler(_fq_norm(f, p, r), p) < 0,
-                lambda P, Q: _fq_pt_add(P, Q, ai, p, r))
+        f2 = mul(f, f)
+        ai = (zero, zero, zero, mul(a4, f2), zero)
+        return ((mul(x, f), f2), _euler(_fq_norm(f, p, r), p) < 0,
+                lambda P, Q: _pt_add(P, Q, ai, F))
 
     return _order_finder(p * p, draw, rng)
 

@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import _euler, factorize, is_prime, legendre, primes_in_range
+from .arith import _euler, factorize, is_prime, legendre
 from .curve import (
     CurveK,
     CurveQ,
@@ -271,7 +271,7 @@ def gcd_orders_quadratic(c, d: int | None = None, X: int = 2000) -> int:
         if d is not None and d != c.d:
             raise InputError(f"curve lives in Q(sqrt {c.d}), not Q(sqrt {d})")
         g = 0
-        for p in primes_in_range(3, X):
+        for p in _walk_primes(3, X, None):
             try:
                 counts = count_curveK_at_prime(c, p)
             except (BadReductionError, UnsupportedPrimeError):

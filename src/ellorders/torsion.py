@@ -21,9 +21,11 @@ from .arith import factorize, is_prime
 from .curve import CurveQ, _icbrt, integral_model, invariants, quadratic_twist
 from .errors import DataIntegrityError, InputError, ResourceError
 from .reduction import (
-    _fq_pt_add,
+    _QQ,
+    _fq_field,
     _fq_pt_mul,
     _mul,
+    _pt_add,
     count_points_fp,
     prime_walk,
     quadratic_walk,
@@ -217,10 +219,9 @@ def division_value_mod(c: CurveQ, m: int, x0: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# group law over F_p on the long model (reduced from the integral model).
-# Points over F_p are the v = 0 points of the F_{p^2} law in reduction.py;
-# they form a subgroup because the coefficients lie in F_p.  No product
-# ever meets a nonzero v, so the law runs with r = 0.
+# group law over F_p on the long model (reduced from the integral model):
+# reduction._pt_add over _fq_field(p, 0), whose pairs (u, 0) are F_p, since
+# with r = 0 no product of two of them meets a nonzero v.
 
 
 def _good_model(c: CurveQ, p: int):
@@ -249,7 +250,7 @@ def _project(pt):
 
 def ec_add(p: int, c: CurveQ, P, Q):
     ai = _good_model(c, p)
-    return _project(_fq_pt_add(_lift(P, ai, p), _lift(Q, ai, p), ai, p, 0))
+    return _project(_pt_add(_lift(P, ai, p), _lift(Q, ai, p), ai, _fq_field(p, 0)))
 
 
 def ec_mul(p: int, c: CurveQ, n: int, P):
@@ -281,38 +282,23 @@ def point_order(p: int, c: CurveQ, P) -> int:
     P = _lift(P, ai, p)
     if P is None:
         return 1
+    F = _fq_field(p, 0)
     return _order_descent(P, count_points_fp(c, p).count,
-                          lambda A, B: _fq_pt_add(A, B, ai, p, 0))
+                          lambda A, B: _pt_add(A, B, ai, F))
 
 
 # ---------------------------------------------------------------------------
-# exact arithmetic over Q on a short model, for order-of-point checks
+# exact arithmetic over Q, for order-of-point checks: reduction._pt_add over
+# _QQ, on the short model (0, 0, 0, A, B) and Fraction points
 
 
-def _rat_add(pt1, pt2, A, B):
-    if pt1 is None:
-        return pt2
-    if pt2 is None:
-        return pt1
-    x1, y1 = pt1
-    x2, y2 = pt2
-    if x1 == x2 and y1 + y2 == 0:
-        return None
-    if x1 == x2:
-        lam = (3 * x1 * x1 + A) / (2 * y1)
-    else:
-        lam = (y2 - y1) / (x2 - x1)
-    x3 = lam * lam - x1 - x2
-    y3 = lam * (x1 - x3) - y1
-    return (x3, y3)
-
-
-def _rat_order_up_to(pt, A, B, limit=12):
+def _rat_order_up_to(pt, ai, limit=12):
+    """The order of pt if it is at most limit, else None."""
     acc = pt
     for k in range(1, limit + 1):
         if acc is None:
             return k
-        acc = _rat_add(acc, pt, A, B)
+        acc = _pt_add(acc, pt, ai, _QQ)
     return None
 
 
@@ -378,7 +364,8 @@ def _integer_cubic_roots(A: int, c: int) -> list:
 
 
 def _lutz_nagell_points(A: int, B: int, fac: dict) -> list:
-    """All affine torsion points of y^2 = x^3 + Ax + B with A, B integers.
+    """(pt, order) for every affine torsion point of y^2 = x^3 + Ax + B,
+    A and B integers.
 
     fac factors 4A^3 + 27B^2, which y^2 divides at every point with y != 0.
     """
@@ -402,7 +389,9 @@ def _lutz_nagell_points(A: int, B: int, fac: dict) -> list:
             pts.append((Fraction(x), Fraction(y)))
             if y:
                 pts.append((Fraction(x), Fraction(-y)))
-    return [pt for pt in pts if _rat_order_up_to(pt, A, B) is not None]
+    ai = (0, 0, 0, A, B)
+    orders = [(pt, _rat_order_up_to(pt, ai)) for pt in pts]
+    return [(pt, o) for pt, o in orders if o is not None]
 
 
 def _short_map_back(c: CurveQ, u: int):
@@ -453,10 +442,8 @@ def torsion_over_Q(c: CurveQ) -> TorsionGroup:
         while A % q**4 == 0 and B % q**6 == 0:
             A, B, u = A // q**4, B // q**6, u * q
             fac[q] -= 12
-    affine = _lutz_nagell_points(A, B, fac)
-    order = 1 + len(affine)
-
-    orders = {pt: _rat_order_up_to(pt, A, B) for pt in affine}
+    orders = dict(_lutz_nagell_points(A, B, fac))
+    order = 1 + len(orders)
     n2 = max(orders.values(), default=1)
     if order % n2:
         raise DataIntegrityError("torsion point set is not a group")
@@ -469,12 +456,9 @@ def torsion_over_Q(c: CurveQ) -> TorsionGroup:
         gen2 = next(pt for pt, o in orders.items() if o == n2)
         gens.append(gen2)
         if n1 == 2:
-            inside = None
-            if n2 % 2 == 0:
-                half = gen2
-                for _ in range(n2 // 2 - 1):
-                    half = _rat_add(half, gen2, A, B)
-                inside = half
+            # n1 | n2, so (n2 / 2) gen2 is the 2-torsion point inside <gen2>
+            ai = (0, 0, 0, A, B)
+            inside = _mul(n2 // 2, gen2, lambda P, Q: _pt_add(P, Q, ai, _QQ))
             gens.append(
                 next(pt for pt, o in orders.items() if o == 2 and pt != inside)
             )

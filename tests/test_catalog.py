@@ -1,8 +1,12 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +226,25 @@ class TestOfflineResolution:
             assert torsion_over_Q(c).structure == stub.expected.torsion_Q, stub.label
             conductor = int(re.match(r"\d+", stub.label).group())
             assert all(conductor % p == 0 for p in bad_primes(c)), stub.label
+
+    def test_offline_work_never_imports_urllib_request(self):
+        # urllib.request loads ssl, http and email: about 7 MB resident
+        code = (
+            "import sys\n"
+            "from ellorders import cli\n"
+            "from ellorders.catalog import resolve_label\n"
+            "resolve_label('150b3', offline=True)\n"
+            "loaded = [m for m in ('urllib.request', 'ssl', 'http.client')\n"
+            "          if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
 
 
 class TestCacheBehavior:

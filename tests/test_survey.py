@@ -378,6 +378,13 @@ class TestGcdOrdersQuadratic:
         with pytest.raises(InputError):
             gcd_orders_quadratic(everywhere_good_33(), X=99)
 
+    def test_bound_above_count_ceiling_refused_at_once(self):
+        # a curve over the field walks its own primes, and must refuse too
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceError):
+            gcd_orders_quadratic(everywhere_good_33(), X=2 * 10**7)
+        assert time.perf_counter() - t0 < 1.0
+
     def test_split_count_outside_the_hasse_window_raises(self, monkeypatch):
         # 17 splits in Q(sqrt 33)
         _lie_at_good_primes(monkeypatch)
