@@ -8,7 +8,6 @@ exact primes involved.  Scans are pure.
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -189,6 +188,9 @@ def congruence_survey(c: CurveQ, spec: SurveySpec, workers: int = 1) -> Congruen
     chunks = [ps[i:i + CHUNK] for i in range(0, len(ps), CHUNK)]
     jobs = [(ai, spec.m, spec.N, chunk) for chunk in chunks]
     if workers > 1 and len(jobs) > 1:
+        # imported here: it loads multiprocessing, about 2 MB resident
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_scan_chunk, jobs))
     else:

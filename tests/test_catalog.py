@@ -228,13 +228,15 @@ class TestOfflineResolution:
             assert all(conductor % p == 0 for p in bad_primes(c)), stub.label
 
     def test_offline_work_never_imports_urllib_request(self):
-        # urllib.request loads ssl, http and email: about 7 MB resident
+        # urllib.request loads ssl, http and email: about 7 MB resident;
+        # the process pool of a parallel survey loads multiprocessing, 2 MB
         code = (
             "import sys\n"
             "from ellorders import cli\n"
             "from ellorders.catalog import resolve_label\n"
             "resolve_label('150b3', offline=True)\n"
-            "loaded = [m for m in ('urllib.request', 'ssl', 'http.client')\n"
+            "loaded = [m for m in ('urllib.request', 'ssl', 'http.client',\n"
+            "                      'concurrent.futures.process', 'multiprocessing')\n"
             "          if m in sys.modules]\n"
             "assert not loaded, loaded\n"
         )

@@ -36,11 +36,14 @@ from ellorders.reduction import (
     _finder_rng,
     _fp_finder_count,
     _fq_enumerate,
+    _fq_field,
     _fq_finder_count,
     _fq_group_order,
     _fq_mul,
     _lane_round,
     _order_finder,
+    _pt_add,
+    _pt_neg,
     _window_annihilators,
     count_at_quadratic_prime,
     count_curveK_at_prime,
@@ -252,6 +255,12 @@ class TestSplitting:
         with pytest.raises(InputError):
             splitting(1, 7)
 
+    def test_composite_p_rejected(self):
+        with pytest.raises(InputError):
+            splitting(33, 15)
+        with pytest.raises(InputError):
+            splitting(6, 1)
+
 
 class TestQuadraticCounts:
     def test_split_prime_gives_rational_count(self):
@@ -400,10 +409,11 @@ class TestOrderFinder:
         assert supersingular > 200
 
     def test_fq_finder_matches_enumeration(self):
-        # every inert p from 11 to the old enumeration cutoff 211
-        for ck in (everywhere_good_6(), everywhere_good_33()):
+        # every inert p from 11 to the old enumeration cutoff 211, and three
+        # of the quadratic benchmark's range (211, 500]; 277 is supersingular
+        for ck, more in ((everywhere_good_6(), [257, 277]), (everywhere_good_33(), [311])):
             inv = invariants_K(ck)
-            for p in primes_in_range(11, 211):
+            for p in list(primes_in_range(11, 211)) + more:
                 if splitting(ck.d, p).kind is not SplitKind.INERT:
                     continue
                 red, r = _reduce_quad(p), ck.d % p
@@ -412,6 +422,40 @@ class TestOrderFinder:
                                        _finder_rng(p, (p,)))
                 assert got == want, (ck.d, p)
                 assert count_curveK_at_prime(ck, p) == [want]
+
+    def test_fq_law_matches_generic_law(self, monkeypatch):
+        # the finder's own draws at every inert p in [11, 500]: each is
+        # (x f, f^2) on y^2 = x^3 + a4 f^2 x + a6 f^3, so its model is
+        # read off the point; the multiples j P, j <= 12, give sums and
+        # doublings, and P + (-P) and the identity close the cases
+        draws = []
+        monkeypatch.setattr(reduction, "_order_finder",
+                            lambda q, draw, rng: draws.append(draw))
+        checked = 0
+        for ck in (everywhere_good_6(), everywhere_good_33()):
+            inv = invariants_K(ck)
+            for p in primes_in_range(11, 500):
+                if splitting(ck.d, p).kind is not SplitKind.INERT:
+                    continue
+                red, r = _reduce_quad(p), ck.d % p
+                _fq_finder_count((red(inv.c4), red(inv.c6)), p, r, None)
+                draw, rng = draws.pop(), random.Random(p)
+                F = _fq_field(p, r)
+                a4 = _fq_mul(red(inv.c4), (-27 % p, 0), p, r)
+                for drawn in filter(None, (draw(rng) for _ in range(3))):
+                    P, _, add = drawn
+                    ai = ((0, 0), (0, 0), (0, 0), _fq_mul(a4, P[1], p, r), (0, 0))
+                    jP = P
+                    for _ in range(12):
+                        assert add(jP, jP) == _pt_add(jP, jP, ai, F), (ck.d, p)
+                        nxt = add(jP, P)
+                        assert nxt == _pt_add(jP, P, ai, F), (ck.d, p)
+                        jP = nxt
+                    assert add(P, _pt_neg(P, ai, F)) is None
+                    assert add(None, P) == add(P, None) == P
+                    assert add(None, None) is None
+                    checked += 1
+        assert checked > 150
 
     def test_fallbacks_return_the_oracle_values(self, monkeypatch):
         ai = self.CURVES[3]
