@@ -134,9 +134,14 @@ def sqrt_mod(a: int, p: int):
     """Smaller square root of a mod p, or None when a is a non-residue.
 
     Tonelli-Shanks in the 1 mod 8 case; the shortcuts for p = 3 mod 4 and
-    p = 5 mod 8 avoid the loop entirely.
+    p = 5 mod 8 avoid the loop entirely.  p must be an odd prime.
     """
     _require_odd_prime(p)
+    return _sqrt_mod(a, p)
+
+
+def _sqrt_mod(a: int, p: int):
+    """sqrt_mod, for an odd p its caller already proved prime."""
     a %= p
     if a == 0:
         return 0

@@ -13,12 +13,15 @@ window numbers that annihilate it, and their intersection pins |E|.
 Every F_p count goes through _count_chunk, which alone picks the method: a
 single count is a block of one prime, and prime_walk hands it blocks of a
 prime range.  Good primes above the lane floor run the F_p finder at once as
-int64 numpy lanes (one draw per lane and round, Jacobian coordinates, one
-batched inversion per lane), in rounds of at least _LANE_MIN lanes.  Every
-other prime, and every lane no round pins, goes to the scalar finder above
-the crossover and to the table, the oracle, below it; the table also takes
-what the scalar finder misses.  Every F_p count and every inert F_{p^2}
-order passes _checked_count.
+int64 numpy lanes (one draw per lane and round, Jacobian coordinates reduced
+only after products, one batched inversion per lane), in rounds of at least
+_LANE_MIN lanes; a lane a round leaves unpinned rides in a later batch of
+its block.  Every other prime, and every lane no round pins, goes to the
+scalar finder above the crossover and to the table, the oracle, below it;
+the table also takes what the scalar finder misses.  Up to the lane floor,
+where it counts nearly every good prime, the table reads its residue
+symbols from a cache.  Every F_p count and every inert F_{p^2} order passes
+_checked_count.
 
 The scalar finders add on plain-int short laws of their own, _fp_law over
 F_p and _fq_law over F_{p^2}, not on _pt_add, the long-model law for any
@@ -30,6 +33,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -37,7 +41,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import _euler, factorize, is_prime, legendre, primes_in_range, sqrt_mod, valuation
+from .arith import (
+    _euler,
+    _sqrt_mod,
+    factorize,
+    is_prime,
+    legendre,
+    primes_in_range,
+    valuation,
+)
 from .curve import (
     CurveK,
     CurveQ,
@@ -59,20 +71,26 @@ from .errors import (
 # Largest prime a point count will attempt, and so the largest survey bound.
 # Below _FINDER_CROSSOVER, and at singular reductions, the count is O(p) in
 # time and memory; above it, the order finder's is about O(p^(1/4)) group
-# operations per draw.  The lane finder's int64 arithmetic is exact up to
-# here: its largest product, 4 p^2, stays below 4*10^14.
+# operations per draw.  The int64 arithmetic of the table and the lane
+# finder is exact up to here: no intermediate reaches 12 p^2 < 1.2*10^15.
 COUNT_CEILING = 10**7
 
 # Good F_p counts that run in no lane round use the scalar order finder above
-# this prime, and the numpy table below it: near 2500 the two cost the same
-# per call (about 0.09 ms on a 2-vCPU Xeon, CPython 3.11, numpy 2.4).  Never
-# below Mestre's bound 229.
+# this prime, and the numpy table below it.  Per call the two are even in
+# [1000, 1500] (45-65 us) and the finder is 10-40% cheaper in [2000, 3000]
+# (2-vCPU Xeon, CPython 3.11, numpy 2.4).  A corpus pass sends only about
+# 360 of its 35,010 counts to the table above the lane floor, so a lower
+# crossover would save some 5 ms of 1.2 s, below the spread of the runs.
+# Never below Mestre's bound 229.
 _FINDER_CROSSOVER = 2500
 
-# Good F_p counts of a block above this prime are lanes.  In a block of 64,
-# lanes plus fallbacks cost 31-41 us a prime in [1000, 1500] against the
-# table's 45-53 us, and 26-39 us against 57-73 us with 192 lanes in
-# [1000, 2500]; in [500, 1000] the two are even (same box).
+# Good F_p counts of a block above this prime are lanes, and the table
+# caches its residue symbols up to it.  With 192 lanes in [1000, 2500],
+# lanes plus fallbacks cost 20-40 us a prime against the table's 35-48 us;
+# in a block of 64 the two are about even in [1000, 1500] (26-56 against
+# 27-41 us) and the table leads in [500, 1000] (20-33 against 24-48 us).
+# Survey blocks hold up to CHUNK primes, so most lanes run 256 to a round
+# (same box).
 _LANE_FLOOR = 1000
 
 # Points an order finder draws before its caller falls back to its oracle.
@@ -86,7 +104,7 @@ _FINDER_DRAWS = 40
 # Xeon, CPython 3.11, numpy 2.4).
 _LANES = 256
 
-# Lane rounds before an unpinned prime leaves the lanes.  A second round over
+# Lane rounds before an unpinned prime leaves the lanes.  A second draw for
 # the lanes the first leaves (14% near p = 2500, 4% near 3*10^4) costs less
 # than their scalar counts; a third measured no faster.
 _LANE_ROUNDS = 2
@@ -94,9 +112,10 @@ _LANE_ROUNDS = 2
 CHUNK = 2048  # primes per survey job, and per prime-walk block at most
 
 # Fewest lanes a round runs on; a narrower batch goes to the scalar finder
-# or the table.  A round in [1000, 5000] costs 2.5-3.3 ms at any width from
-# 2 to 64 lanes (5.7 ms at 256), and a table count there 50-100 us, so two
-# rounds of 4-32 lanes cost 110-330 us a prime (same box).
+# or the table.  A round in [1000, 3750] costs 1.1-2.6 ms at any width from
+# 2 to 64 lanes (1.7-3.6 ms at 256), so 8 lanes cost 160-260 us a prime and
+# 32 lanes 40-75 us, where a table or scalar count there takes 45-125 us
+# (same box).
 _LANE_MIN = 32
 
 # A prime walk's first block; later ones double up to CHUNK.  torsion_over_Q
@@ -378,6 +397,31 @@ def smooth_locus_order(ld: LocalData) -> int:
     )
 
 
+# The table's residue symbols at the odd primes up to _LANE_FLOOR, filled
+# lazily: 167 arrays, about 76 KB.
+_SYMBOLS = {}
+
+
+def _residue_symbols(p):
+    """(x|p) for x in [0, p) as int8, p an odd prime.
+
+    Cached read-only up to _LANE_FLOOR, where the table counts nearly every
+    good prime of a survey; built per call above it.
+    """
+    chi = _SYMBOLS.get(p)
+    if chi is None:
+        squares = np.arange(p, dtype=np.int64)
+        squares *= squares
+        squares %= p
+        chi = np.full(p, -1, dtype=np.int8)
+        chi[squares] = 1
+        chi[0] = 0
+        if p <= _LANE_FLOOR:
+            chi.flags.writeable = False
+            _SYMBOLS[p] = chi
+    return chi
+
+
 def _count_model_mod_p(ai, p: int) -> int:
     """Projective points of the reduction of an integral model mod p.
 
@@ -394,16 +438,19 @@ def _count_model_mod_p(ai, p: int) -> int:
                     count += 1
         return count
     b2, b4, b6, *_ = _invariant_kernel(ai)
-    b2 %= p
-    d4 = (2 * b4) % p
-    b6 %= p
+    chi = _residue_symbols(p)
+    # B(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 by Horner in place, reduced twice:
+    # below 5p^2 at the first reduction and p^2 at the second, where a
+    # single one would meet 5p^3, past 2^63 above p = 1.23*10^6
     xs = np.arange(p, dtype=np.int64)
-    chi = np.full(p, -1, dtype=np.int64)
-    chi[(xs * xs) % p] = 1
-    chi[0] = 0
-    vals = (4 * xs + b2) % p
-    vals = (vals * xs + d4) % p
-    vals = (vals * xs + b6) % p
+    vals = 4 * xs
+    vals += b2 % p
+    vals *= xs
+    vals += 2 * b4 % p
+    vals %= p
+    vals *= xs
+    vals += b6 % p
+    vals %= p
     return int(p + 1 + chi[vals].sum())
 
 
@@ -804,8 +851,18 @@ def _finder_rng(p, coeffs):
 
 
 def _hasse_window(q):
-    """[lo, hi] = [q + 1 - t, q + 1 + t], t = floor(2 sqrt q): |E(F_q)| is in it."""
-    t = math.isqrt(4 * q)
+    """[lo, hi] = [q + 1 - t, q + 1 + t], t = floor(2 sqrt q): |E(F_q)| is in it.
+
+    q is an int, or an int64 array of q below 2^60 for lane-wise windows:
+    there the float root of 4q is within one of t, and one integer step
+    each way makes it exact.
+    """
+    if isinstance(q, np.ndarray):
+        t = np.sqrt(4 * q).astype(np.int64)
+        t -= t * t > 4 * q
+        t += (t + 1) * (t + 1) <= 4 * q
+    else:
+        t = math.isqrt(4 * q)
     return q + 1 - t, q + 1 + t
 
 
@@ -869,28 +926,38 @@ def _fp_finder_count(c4, c6, p, rng):
 # The same finder over many primes at once: each good p of a survey chunk
 # above the lane floor is one int64 lane holding its own p, a4 and a6, and
 # every group operation is a handful of numpy calls across the lanes.  This
-# is the third group law on purpose: one lane round costs 16-70 us per prime
-# where the scalar finder on _fp_law costs 90-470 us.
+# is the third group law on purpose: a 256-lane round costs 10-14 us per
+# prime near 2500, 17-23 us near 3*10^4, 34-50 us near 10^6 and 69-75 us
+# near 10^7, where the scalar finder on _fp_law costs 90-470 us.  Two lanes
+# already cost 1.1-1.8 ms a round near 10^3 and 5-7 ms near 10^7.
 # Points are Jacobian (X : Y : Z), x = X/Z^2 and y = Y/Z^3, with Z = 0 the
 # identity; both formulas below leave Z = 0 on a degenerate input, and
-# Z = 0 then stays 0 along a chain.  Values stay reduced mod p <=
-# COUNT_CEILING, so no product exceeds 4 p^2 < 2^63.
+# Z = 0 then stays 0 along a chain.  Coordinates stay reduced mod p <=
+# COUNT_CEILING between operations, so no intermediate reaches 12 p^2 < 2^63.
 
 
 def _lane_dbl(X, Y, Z, A, P):
-    """2 (X : Y : Z) on y^2 = x^3 + A x + B, lane-wise mod P."""
-    XX, YY, ZZ = X * X % P, Y * Y % P, Z * Z % P
+    """2 (X : Y : Z) on y^2 = x^3 + A x + B, lane-wise mod P.
+
+    Only products are reduced, never sums: with inputs in [0, P), every
+    intermediate is below 12 P^2 in magnitude (M (S - X3) - 8 YY^2, the
+    largest, lies in (-9 P^2, P^2)), so below 2^63 at P <= COUNT_CEILING.
+    """
+    YY, ZZ = Y * Y % P, Z * Z % P
     S = 4 * X * YY % P
-    M = (3 * XX + A * (ZZ * ZZ % P)) % P
-    X3 = (M * M - 2 * S) % P
-    Y3 = (M * ((S - X3) % P) - 8 * (YY * YY % P)) % P
-    return X3, Y3, 2 * Y * Z % P
+    M = (3 * X * X + A * (ZZ * ZZ % P)) % P
+    X3 = (M * M - (S + S)) % P
+    Y3 = (M * (S - X3) - 8 * YY * YY) % P
+    return X3, Y3, (Y + Y) * Z % P
 
 
 def _lane_madd(X, Y, Z, x2, y2, P):
     """(X : Y : Z) + (x2, y2), Jacobian plus affine, lane-wise mod P.
 
-    Equal x (a doubling, or a sum that is the identity) gives Z = 0.
+    Equal x (a doubling, or a sum that is the identity) gives Z = 0.  Only
+    products are reduced, never sums: with inputs in [0, P), every
+    intermediate is below 12 P^2 in magnitude (R (V - X3) - Y HHH, the
+    largest, lies in (-2 P^2, P^2)), so below 2^63 at P <= COUNT_CEILING.
     """
     ZZ = Z * Z % P
     H = (x2 * ZZ - X) % P
@@ -898,8 +965,8 @@ def _lane_madd(X, Y, Z, x2, y2, P):
     HH = H * H % P
     HHH = HH * H % P
     V = X * HH % P
-    X3 = (R * R - HHH - 2 * V) % P
-    Y3 = (R * ((V - X3) % P) - Y * HHH) % P
+    X3 = (R * R - HHH - (V + V)) % P
+    Y3 = (R * (V - X3) - Y * HHH) % P
     return X3, Y3, Z * H % P
 
 
@@ -959,7 +1026,7 @@ def _lane_round(ps, c4s, c6s, rng):
     A = a4 * ff % P
     px, py, one = x * f % P, ff, np.ones(L, dtype=np.int64)
     twisted = _lane_pow(f, (P - 1) // 2, P) != 1
-    lo, hi = np.array([_hasse_window(p) for p in ps], dtype=np.int64).T
+    lo, hi = _hasse_window(P)
     m = math.isqrt(int((hi - lo).max()) // 2) + 1
     lanes = np.arange(L)
 
@@ -972,6 +1039,10 @@ def _lane_round(ps, c4s, c6s, rng):
     X[m + 1], Y[m + 1], Z[m + 1] = _lane_madd(
         *_lane_dbl(X[m - 1], Y[m - 1], Z[m - 1], A, P), px, py, P)
     bx, by = _lane_affine(X, Y, Z, P)
+    # Only affine rows are read from here on; dropping each stage's
+    # temporaries as it ends keeps a round's peak memory down by a third.
+    stride_degenerate = Z[m + 1] == 0
+    del X, Y, Z
 
     # First x collision x(i P) = x(j P), i < j <= m + 1: the order is i + j.
     # A degenerate add j P + P means x(j P) = x(P), a collision at j, so
@@ -985,21 +1056,25 @@ def _lane_round(ps, c4s, c6s, rng):
     o = np.where(collided, j + keys[lanes, at] % K, 1)
     found = hi // o - (lo - 1) // o
     n = hi // o * o
+    del keys, later
 
     # k0 P by a window of w bits, reading d P off the baby rows, d < 2^w <= m + 1.
+    # A lane starts at its first nonzero digit; until one has, the top
+    # window skips the doublings and the sum, whose results no lane keeps.
     k0 = lo + m
     w = (m + 1).bit_length() - 1
-    G = (X[0], Y[0], Z[0])
+    G = (px, py, one)
     started = np.zeros(L, dtype=bool)
     for shift in range((int(k0.max()).bit_length() - 1) // w * w, -1, -w):
-        for _ in range(w):
-            G = _lane_dbl(*G, A, P)
         d = (k0 >> shift) & ((1 << w) - 1)
         dx, dy = bx[d - 1, lanes], by[d - 1, lanes]
-        added = _lane_madd(*G, dx, dy, P)
         nz = d != 0
-        G = tuple(np.where(started & nz, s, np.where(nz, b, g))
-                  for s, b, g in zip(added, (dx, dy, one), G))
+        if started.any():
+            for _ in range(w):
+                G = _lane_dbl(*G, A, P)
+            G = tuple(np.where(started & nz, s, g)
+                      for s, g in zip(_lane_madd(*G, dx, dy, P), G))
+        G = tuple(np.where(nz & ~started, b, g) for b, g in zip((dx, dy, one), G))
         started |= nz
 
     # Giant steps, then a match of x(k P) against the baby rows j <= m.
@@ -1010,8 +1085,9 @@ def _lane_round(ps, c4s, c6s, rng):
     for i in range(1, len(GX)):
         GX[i], GY[i], GZ[i] = _lane_madd(
             GX[i - 1], GY[i - 1], GZ[i - 1], bx[m + 1], by[m + 1], P)
-    degenerate = (GZ[giants - 1, lanes] == 0) | (Z[m + 1] == 0)
+    degenerate = (GZ[giants - 1, lanes] == 0) | stride_degenerate
     gx, gy = _lane_affine(GX, GY, GZ, P)
+    del GX, GY, GZ
     off = (lanes * (int(P.max()) + 1))[:, None]
     table = (bx[:m].T + off).ravel()
     order = table.argsort()
@@ -1020,7 +1096,7 @@ def _lane_round(ps, c4s, c6s, rng):
     pos = np.minimum(np.searchsorted(sorted_keys, gkeys), len(table) - 1)
     hit = sorted_keys[pos] == gkeys
     jj = order[pos] % m
-    k = k0[:, None] + span * np.arange(len(GX))
+    k = k0[:, None] + span * np.arange(len(gx))
     ann = np.where(by[jj, lanes[:, None]] == gy.T, k - (jj + 1), k + (jj + 1))
     valid = hit & (ann >= lo[:, None]) & (ann <= hi[:, None])
     found = np.where(collided, found, valid.sum(axis=1))
@@ -1041,7 +1117,8 @@ def _count_chunk(ai, primes) -> list:
     The one place that picks a count's method, single counts included.
     Good p above _LANE_FLOOR are lanes, run _LANES at a time in rounds of
     at least _LANE_MIN, with draws from one generator seeded by the model
-    and the first prime.  Every other prime, and every lane that no round
+    and the first prime; a lane a round leaves unpinned rides in a later
+    batch of the block.  Every other prime, and every lane that no round
     runs or _LANE_ROUNDS rounds leave unpinned, goes to _fp_finder_count
     above _FINDER_CROSSOVER and to the table _count_model_mod_p below it;
     the table also takes the scalar finder's misses.
@@ -1051,37 +1128,40 @@ def _count_chunk(ai, primes) -> list:
     if max(primes) > COUNT_CEILING:
         raise ResourceError(
             f"point count at {max(primes)} exceeds ceiling {COUNT_CEILING}")
-    inv = _invariant_kernel(ai)
+    *_, c4, c6, disc = _invariant_kernel(ai)
     out = [0] * len(primes)
     lds = [None] * len(primes)
     lanes = []  # (index, p, model, c4, c6)
     for i, p in enumerate(primes):
-        model, c4, c6, disc = ai, *inv[4:]
-        if disc % p == 0:
+        model, mc4, mc6, good = ai, c4, c6, disc % p
+        if not good:
             lds[i] = _local_data_ints(ai, p)
             model = lds[i].minimal_ainvs
-            c4, c6, disc = _invariant_kernel(model)[4:]
-        if p > _LANE_FLOOR and disc % p:
-            lanes.append((i, p, model, c4, c6))
+            *_, mc4, mc6, mdisc = _invariant_kernel(model)
+            good = mdisc % p
+        if p > _LANE_FLOOR and good:
+            lanes.append((i, p, model, mc4, mc6))
         else:
             out[i] = _count_model_mod_p(model, p)
-    rng = None
-    for _ in range(_LANE_ROUNDS):
-        left = []
-        for start in range(0, len(lanes), _LANES):
-            batch = lanes[start:start + _LANES]
-            if len(batch) < _LANE_MIN:
-                left += batch
+    # lanes is a queue: an unpinned lane rejoins its tail, so it shares a
+    # later batch with fresh lanes instead of a pass of its own
+    unpinned = Counter()
+    left, start, rng = [], 0, None
+    while len(lanes) - start >= _LANE_MIN:
+        batch = lanes[start:start + _LANES]
+        start += len(batch)
+        rng = rng or _finder_rng(primes[0], ai)
+        _, ps, _, c4s, c6s = zip(*batch)
+        for lane, n in zip(batch, _lane_round(ps, c4s, c6s, rng)):
+            if n is not None:
+                out[lane[0]] = n
                 continue
-            rng = rng or _finder_rng(primes[0], ai)
-            _, ps, _, c4s, c6s = zip(*batch)
-            for lane, n in zip(batch, _lane_round(ps, c4s, c6s, rng)):
-                if n is None:
-                    left.append(lane)
-                else:
-                    out[lane[0]] = n
-        lanes = left
-    for i, p, model, c4, c6 in lanes:
+            unpinned[lane[0]] += 1
+            if unpinned[lane[0]] < _LANE_ROUNDS:
+                lanes.append(lane)
+            else:
+                left.append(lane)
+    for i, p, model, c4, c6 in left + lanes[start:]:
         n = None
         if p > _FINDER_CROSSOVER:
             n = _fp_finder_count(c4, c6, p, _finder_rng(p, (a % p for a in model)))
@@ -1188,7 +1268,7 @@ def count_curveK_at_prime(c: CurveK, p: int) -> list:
     inv = invariants_K(c)
     inv2 = pow(2, p - 2, p)
     if sp.kind is SplitKind.SPLIT:
-        root = sqrt_mod(d % p, p)
+        root = _sqrt_mod(d % p, p)  # splitting proved p prime
         counts = []
         for rt in (root, p - root):
             def emb(z: QuadInt) -> int:

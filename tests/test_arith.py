@@ -128,6 +128,10 @@ class TestSqrtMod:
         assert sqrt_mod(3, 7) is None
         assert sqrt_mod(0, 13) == 0
 
+    def test_non_prime_rejected(self):
+        with pytest.raises(InputError):
+            sqrt_mod(4, 15)
+
     def test_exhaustive_small_primes(self):
         # oracle: the literal set of squares
         for p in primes_in_range(3, 200):

@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,7 +57,7 @@ from ellorders.reduction import (
     splitting,
     twist_count_identity_check,
 )
-from ellorders.survey import _scan_chunk
+from ellorders.survey import _scan_chunk, gcd_orders_quadratic
 
 
 class TestLocalData:
@@ -286,6 +288,24 @@ class TestQuadraticCounts:
 
 
 class TestCurveKCounts:
+    def test_one_primality_proof_per_walked_prime(self, monkeypatch):
+        # splitting proves p prime; the split places' square root does not
+        # prove it again
+        from ellorders import arith, survey
+
+        proofs = Counter()
+        real = arith.is_prime
+
+        def spy(n):
+            proofs[n] += 1
+            return real(n)
+
+        for mod in (arith, reduction, survey):
+            monkeypatch.setattr(mod, "is_prime", spy)
+        assert gcd_orders_quadratic(everywhere_good_33(), X=500) == 3
+        assert sorted(proofs) == primes_in_range(3, 500)
+        assert set(proofs.values()) == {1}
+
     def test_rational_model_agrees_with_quadratic_count(self):
         cq = curve([0, 0, 0, -12, -11])
         ck = curve_K([0, 0, 0, -12, -11], 33)
@@ -609,6 +629,132 @@ class TestLaneFinder:
             _lane_round(ps, [c4] * len(ps), [c6] * len(ps), random.Random(0))
         with pytest.raises(DataIntegrityError):
             _fp_finder_count(c4, c6, 3001, _finder_rng(3001, ai))
+
+
+class TestCountArithmetic:
+    """The int64 edges of the table and the lanes, which numpy would pass
+    silently if they overflowed."""
+
+    def test_table_at_large_bad_prime(self):
+        # y^2 = x (x - q)(x - t), t = (q + 1)/4, has type I2 at q, and
+        # b2 = -4 (q + t) is q - 1 mod q: at 5 q^3 > 2^63 a cubic reduced
+        # only once would wrap
+        q = next(p for p in primes_in_range(1_250_000, 1_260_000) if p % 4 == 3)
+        assert 5 * q**3 > 2**63
+        t = (q + 1) // 4
+        ai = (0, -(q + t), 0, q * t, 0)
+        ld = local_data(curve(list(ai)), q)
+        assert ld.kodaira.label == "I2"
+        assert _count_model_mod_p(ai, q) == ld.reduced_count
+        assert _count_chunk(ai, [q]) == [ld.reduced_count]
+
+    def test_lane_law_matches_generic_law_near_count_ceiling(self):
+        # the affine values of the lazily reduced Jacobian formulas against
+        # _pt_add over F_p, at the largest prime below COUNT_CEILING, for
+        # every input P - 1 and for a seeded mix with P - 1 planted
+        P = primes_in_range(reduction.COUNT_CEILING - 100, reduction.COUNT_CEILING)[-1]
+        rng = random.Random(14)
+        inputs = [[P - 1] * 6]
+        for _ in range(300):
+            inputs.append([rng.choice((P - 1, rng.randrange(1, P))) for _ in range(6)])
+        X, Y, Z, A, x2, y2 = (np.array(c, dtype=np.int64) for c in zip(*inputs))
+        Pa = np.full(len(inputs), P, dtype=np.int64)
+        F = _fq_field(P, 0)
+
+        def affine(Xs, Ys, Zs):
+            out = []
+            for x, y, z in zip(Xs.tolist(), Ys.tolist(), Zs.tolist()):
+                zi = pow(z, -1, P) if z else 0
+                out.append(None if z == 0 else
+                           ((x * zi * zi % P, 0), (y * zi**3 % P, 0)))
+            return out
+
+        before = affine(X, Y, Z)
+        dbl = affine(*reduction._lane_dbl(X, Y, Z, A, Pa))
+        madd = affine(*reduction._lane_madd(X, Y, Z, x2, y2, Pa))
+        for i, pt in enumerate(before):
+            ai = ((0, 0), (0, 0), (0, 0), (int(A[i]), 0), (0, 0))
+            assert dbl[i] == _pt_add(pt, pt, ai, F), i
+            other = ((int(x2[i]), 0), (int(y2[i]), 0))
+            if other[0] == pt[0]:  # a doubling or the identity: Z = 0
+                assert madd[i] is None, i
+            else:
+                assert madd[i] == _pt_add(pt, other, ai, F), i
+        # the all P - 1 lane is a sum with the negative: the identity
+        assert madd[0] is None
+
+    def test_lane_windows_match_scalar_windows(self):
+        top = reduction.COUNT_CEILING
+        near_squares = [p for k in (40, 100, 317, 1000, 2000, 3162)
+                        for p in primes_in_range(k * k - 60, k * k + 60)]
+        qs = (primes_in_range(1000, 10**5) + near_squares
+              + primes_in_range(top - 2000, top))
+        lo, hi = reduction._hasse_window(np.array(qs, dtype=np.int64))
+        assert list(zip(lo.tolist(), hi.tolist())) == [
+            reduction._hasse_window(q) for q in qs]
+        # up to the docstring's 2^60, at and around squares, where the
+        # float root of 4q rounds both ways and the integer steps decide
+        big = [k * k + e for k in (2**24 - 3, 10**7 - 1, 2**29 + 3, 10**9 - 7, 2**30 - 1)
+               for e in (-k, -1, 0, 1, k)]
+        assert max(big) < 2**60
+        lo, hi = reduction._hasse_window(np.array(big, dtype=np.int64))
+        assert list(zip(lo.tolist(), hi.tolist())) == [
+            reduction._hasse_window(q) for q in big]
+
+    def test_symbol_cache_holds_small_primes_read_only(self):
+        ai = TestOrderFinder.CURVES[3]
+        floor = reduction._LANE_FLOOR
+        big = primes_in_range(floor + 1, floor + 100)[0]
+        for p in (3, 101, primes_in_range(2, floor)[-1], big):
+            _count_model_mod_p(ai, p)
+        cache = reduction._SYMBOLS
+        assert 101 in cache and big not in cache
+        assert all(p <= floor for p in cache)
+        for p, chi in cache.items():
+            assert chi.dtype == np.int8 and not chi.flags.writeable
+            with pytest.raises(ValueError):
+                chi[0] = 1
+        assert cache[101].tolist() == [legendre(x, 101) for x in range(101)]
+
+    def test_table_matches_character_sum(self):
+        # p + 1 + sum of (B(x) | p), written out in Python, at every odd
+        # prime to 200, bad primes included, for seeded models with large
+        # and negative coefficients
+        rng = random.Random(7)
+        models = [tuple(rng.randrange(-10**30, 10**30) for _ in range(5))
+                  for _ in range(3)] + [(0, 1, 0, -333, -3537), (1, -1, 1, -199, 510)]
+        for ai in models:
+            b2, b4, b6, *_ = _invariant_kernel(ai)
+            for p in primes_in_range(3, 200):
+                want = p + 1 + sum(
+                    legendre(4 * x**3 + b2 * x * x + 2 * b4 * x + b6, p)
+                    for x in range(p))
+                assert _count_model_mod_p(ai, p) == want, (ai, p)
+
+    def test_unpinned_lane_rides_in_a_later_batch(self, monkeypatch):
+        # one block of more than _LANES lanes: the lanes that the first
+        # round leaves join the tail, so no round runs on carried lanes
+        # alone; no lane gets more than _LANE_ROUNDS draws, and no round
+        # has fewer than _LANE_MIN lanes
+        ai = TestOrderFinder.CURVES[3]
+        disc = _invariant_kernel(ai)[6]
+        primes = [p for p in primes_in_range(reduction._LANE_FLOOR + 1, 10**5)
+                  if disc % p][:reduction._LANES + 3 * reduction._LANE_MIN]
+        want = [_count_model_mod_p(ai, p) for p in primes]
+        batches = []
+        real = reduction._lane_round
+
+        def spy(ps, *args):
+            batches.append(list(ps))
+            return real(ps, *args)
+
+        monkeypatch.setattr(reduction, "_lane_round", spy)
+        assert _count_chunk(ai, primes) == want
+        assert all(reduction._LANE_MIN <= len(b) <= reduction._LANES for b in batches)
+        draws = Counter(p for b in batches for p in b)
+        assert max(draws.values()) <= reduction._LANE_ROUNDS
+        first, second = set(batches[0]), set(batches[1])
+        assert second & first and second - first
 
 
 def _toy_point(n, a):
