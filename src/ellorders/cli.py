@@ -30,7 +30,7 @@ from .errors import (
     ParseError,
     ResourceError,
 )
-from .reduction import local_data, prime_walk, quadratic_walk
+from .reduction import _good_at, _ints, local_data, prime_walk, quadratic_walk
 from .survey import (
     SurveySpec,
     Violation,
@@ -52,7 +52,7 @@ from .torsion import (
     quadratic_torsion_bound,
     torsion_over_Q,
 )
-from .arith import legendre
+from .arith import _euler
 
 SCAN_CEILING_ENV = "ELLORDERS_SCAN_CEILING"
 
@@ -250,9 +250,9 @@ def main():
 def count(c, fmt, max_prime):
     """Point counts of the reductions at primes up to the bound."""
     _checked_bound(max_prime)
-    bad = bad_primes(c)
-    rows = [(p, local_data(c, p).rtype.value, n, None) if p in bad
-            else (p, "good", n, p + 1 - n)
+    good = _good_at(_ints(c))
+    rows = [(p, "good", n, p + 1 - n) if good(p)
+            else (p, local_data(c, p).rtype.value, n, None)
             for p, n in prime_walk(c, 2, max_prime)]
     headers = ("p", "reduction", "points", "trace")
     _emit(fmt, _payload("count", c.ainvs, max_prime=max_prime,
@@ -338,14 +338,14 @@ def twist(c, fmt, d, max_prime):
     """
     _checked_bound(max_prime)
     tw = quadratic_twist(c, d)
-    skip = bad_primes(c) | bad_primes(tw)
-    keep = lambda p: p not in skip and d % p
+    good, good_tw = _good_at(_ints(c)), _good_at(_ints(tw))
+    keep = lambda p: d % p and good(p) and good_tw(p)
     checked = 0
     violations = []
     for (p, n), (_, n_tw) in zip(prime_walk(c, 3, max_prime, keep),
                                  prime_walk(tw, 3, max_prime, keep)):
         checked += 1
-        if legendre(d % p, p) == 1:
+        if _euler(d, p) == 1:
             ok = n == n_tw
         else:
             ok = n + n_tw == 2 * p + 2

@@ -5,22 +5,22 @@ searches at p = 2, 3 and the (v(c4), v(disc)) classification at p >= 5.
 Point counts are taken on the p-minimal model, so a count at a bad prime is
 the count of the reduced singular curve, which is what the gcd and survey
 layers want.  At odd p a numpy residue table counts singular reductions and
-small p; above a crossover, and over F_{p^2} from p = 11 on, a Shanks-Mestre
-order finder counts good reductions in about O(q^(1/4)) group operations.
-It never computes a point order: each drawn point gives the set of Hasse
-window numbers that annihilate it, and their intersection pins |E|.
+small p; above the lane floor, and over F_{p^2} from p = 11 on, a
+Shanks-Mestre order finder counts good reductions in about O(q^(1/4)) group
+operations.  It never computes a point order: each drawn point gives the set
+of Hasse window numbers that annihilate it, and their intersection pins |E|.
 
-Every F_p count goes through _count_chunk, which alone picks the method: a
-single count is a block of one prime, and prime_walk hands it blocks of a
-prime range.  Good primes above the lane floor run the F_p finder at once as
-int64 numpy lanes (one draw per lane and round, Jacobian coordinates reduced
-only after products, one batched inversion per lane), in rounds of at least
-_LANE_MIN lanes; a lane a round leaves unpinned rides in a later batch of
-its block.  Every other prime, and every lane no round pins, goes to the
-scalar finder above the crossover and to the table, the oracle, below it;
-the table also takes what the scalar finder misses.  Up to the lane floor,
-where it counts nearly every good prime, the table reads its residue
-symbols from a cache.  Every F_p count and every inert F_{p^2} order passes
+Every F_p count goes through _count_chunk, which alone picks the method by
+one rule: the table, the oracle, counts every prime up to the lane floor and
+every bad prime, and an order finder every good prime above it.  A single
+count is a block of one prime, and prime_walk hands it blocks of a prime
+range.  Above the floor a block's good primes run at once as int64 numpy
+lanes (one draw per lane and round, Jacobian coordinates reduced only after
+products, one batched inversion per lane), in rounds of at least _LANE_MIN
+lanes; a lane a round leaves unpinned rides in a later batch of its block.
+The lanes no round pins go to the scalar finder, and the table takes only
+its misses.  Up to the lane floor the table reads its residue symbols from
+a cache.  Every F_p count and every inert F_{p^2} order passes
 _checked_count.
 
 The scalar finders add on plain-int short laws of their own, _fp_law over
@@ -69,28 +69,23 @@ from .errors import (
 )
 
 # Largest prime a point count will attempt, and so the largest survey bound.
-# Below _FINDER_CROSSOVER, and at singular reductions, the count is O(p) in
-# time and memory; above it, the order finder's is about O(p^(1/4)) group
+# Up to _LANE_FLOOR, and at singular reductions, the count is O(p) in time
+# and memory; above it, the order finder's is about O(p^(1/4)) group
 # operations per draw.  The int64 arithmetic of the table and the lane
 # finder is exact up to here: no intermediate reaches 12 p^2 < 1.2*10^15.
 COUNT_CEILING = 10**7
 
-# Good F_p counts that run in no lane round use the scalar order finder above
-# this prime, and the numpy table below it.  Per call the two are even in
-# [1000, 1500] (45-65 us) and the finder is 10-40% cheaper in [2000, 3000]
-# (2-vCPU Xeon, CPython 3.11, numpy 2.4).  A corpus pass sends only about
-# 360 of its 35,010 counts to the table above the lane floor, so a lower
-# crossover would save some 5 ms of 1.2 s, below the spread of the runs.
-# Never below Mestre's bound 229.
-_FINDER_CROSSOVER = 2500
-
-# Good F_p counts of a block above this prime are lanes, and the table
-# caches its residue symbols up to it.  With 192 lanes in [1000, 2500],
-# lanes plus fallbacks cost 20-40 us a prime against the table's 35-48 us;
-# in a block of 64 the two are about even in [1000, 1500] (26-56 against
-# 27-41 us) and the table leads in [500, 1000] (20-33 against 24-48 us).
-# Survey blocks hold up to CHUNK primes, so most lanes run 256 to a round
-# (same box).
+# The one table/finder boundary: the table counts every prime up to it, and
+# an order finder every good prime above it, in lane rounds where a block
+# has _LANE_MIN such primes and by the scalar finder otherwise.  With 192
+# lanes in [1000, 2500], lanes plus fallbacks cost 20-40 us a prime against
+# the table's 35-48 us; in a block of 64 the two are about even in
+# [1000, 1500] (26-56 against 27-41 us) and the table leads in [500, 1000]
+# (20-33 against 24-48 us).  A single count in (1000, 2500] takes 59-86 us
+# on the table and 71-80 us on the scalar finder, and 33 against 64 us in
+# [500, 1000].  Survey blocks hold up to CHUNK primes, so most lanes run
+# 256 to a round (2-vCPU Xeon, CPython 3.11, numpy 2.4).  Never below
+# Mestre's bound 229.
 _LANE_FLOOR = 1000
 
 # Points an order finder draws before its caller falls back to its oracle.
@@ -111,11 +106,10 @@ _LANE_ROUNDS = 2
 
 CHUNK = 2048  # primes per survey job, and per prime-walk block at most
 
-# Fewest lanes a round runs on; a narrower batch goes to the scalar finder
-# or the table.  A round in [1000, 3750] costs 1.1-2.6 ms at any width from
-# 2 to 64 lanes (1.7-3.6 ms at 256), so 8 lanes cost 160-260 us a prime and
-# 32 lanes 40-75 us, where a table or scalar count there takes 45-125 us
-# (same box).
+# Fewest lanes a round runs on; a narrower batch goes to the scalar finder.
+# A round in [1000, 3750] costs 1.1-2.6 ms at any width from 2 to 64 lanes
+# (1.7-3.6 ms at 256), so 8 lanes cost 160-260 us a prime and 32 lanes
+# 40-75 us, where a scalar count there takes 45-125 us (same box).
 _LANE_MIN = 32
 
 # A prime walk's first block; later ones double up to CHUNK.  torsion_over_Q
@@ -379,8 +373,18 @@ def local_data(c: CurveQ, p: int) -> LocalData:
 def bad_primes(c: CurveQ) -> frozenset:
     """Primes where the p-minimal model has bad reduction."""
     ai = _ints(c)
-    return frozenset(
-        p for p in factorize(_invariant_kernel(ai)[6]) if not _is_good(ai, p))
+    good = _good_at(ai)
+    return frozenset(p for p in factorize(_invariant_kernel(ai)[6]) if not good(p))
+
+
+def _good_at(ai):
+    """Whether the curve with integral model ai has good reduction at a prime
+    p, as a predicate built once per scan: it takes the discriminant here,
+    and runs Tate's algorithm only at the p that divide it, so a scan need
+    not factor the discriminant."""
+    disc = _invariant_kernel(ai)[6]
+    return lambda p: bool(disc % p) or (
+        _local_data_ints(ai, p).rtype is ReductionType.GOOD)
 
 
 def smooth_locus_order(ld: LocalData) -> int:
@@ -405,8 +409,9 @@ _SYMBOLS = {}
 def _residue_symbols(p):
     """(x|p) for x in [0, p) as int8, p an odd prime.
 
-    Cached read-only up to _LANE_FLOOR, where the table counts nearly every
-    good prime of a survey; built per call above it.
+    Cached read-only up to _LANE_FLOOR, where the table counts every prime;
+    built per call above it, where it counts only bad primes and the scalar
+    finder's misses.
     """
     chi = _SYMBOLS.get(p)
     if chi is None:
@@ -460,13 +465,7 @@ def count_points_fp(c: CurveQ, p: int) -> PointCount:
         raise InputError(f"point count needs a prime, got {p}")
     ai = _ints(c)
     [n] = _count_chunk(ai, [p])
-    return PointCount(p, 1, n, p + 1 - n if _is_good(ai, p) else None)
-
-
-def _is_good(ai, p) -> bool:
-    """Whether the curve with integral model ai has good reduction at p."""
-    return bool(_invariant_kernel(ai)[6] % p) or (
-        _local_data_ints(ai, p).rtype is ReductionType.GOOD)
+    return PointCount(p, 1, n, p + 1 - n if _good_at(ai)(p) else None)
 
 
 def _checked_count(p, n, ld=None):
@@ -600,7 +599,7 @@ def count_at_quadratic_prime(c: CurveQ, d: int, p: int) -> int:
     if p == 2:
         raise UnsupportedPrimeError("residue counts at 2 are not supported")
     ai = _ints(c)
-    if not _is_good(ai, p):
+    if not _good_at(ai)(p):
         raise BadReductionError(f"bad reduction at {p}")
     [n] = _count_chunk(ai, [p])
     return _residue_order(n, p, sp.kind is SplitKind.SPLIT)
@@ -616,8 +615,8 @@ def quadratic_walk(c: CurveQ, d: int, X: int):
     """(p, split, |E(O_K/P)|) at each odd good p <= X unramified in
     K = Q(sqrt d), ascending, counted by one prime walk."""
     _check_field(d)
-    bad = bad_primes(c)
-    for p, n in prime_walk(c, 3, X, lambda p: d % p and p not in bad):
+    good = _good_at(_ints(c))
+    for p, n in prime_walk(c, 3, X, lambda p: d % p and good(p)):
         split = _euler(d % p, p) == 1
         yield p, split, _residue_order(n, p, split)
 
@@ -729,8 +728,8 @@ def _fp_law(a4, p):
 
     The scalar F_p finder's own law, kept apart from _pt_add on purpose:
     on plain ints and the short model, a count near p = 3*10^4 takes
-    0.12 ms, against 0.57 ms on _pt_add over pairs (u, 0), which would move
-    the finder's crossover with the table far up.
+    0.12 ms, against 0.57 ms on _pt_add over pairs (u, 0), which would put
+    the one table/finder boundary far above the lane floor.
     """
 
     def add(pt1, pt2):
@@ -1114,14 +1113,15 @@ def _lane_round(ps, c4s, c6s, rng):
 def _count_chunk(ai, primes) -> list:
     """N_p on the p-minimal model at each prime of a block, checked.
 
-    The one place that picks a count's method, single counts included.
-    Good p above _LANE_FLOOR are lanes, run _LANES at a time in rounds of
-    at least _LANE_MIN, with draws from one generator seeded by the model
-    and the first prime; a lane a round leaves unpinned rides in a later
-    batch of the block.  Every other prime, and every lane that no round
-    runs or _LANE_ROUNDS rounds leave unpinned, goes to _fp_finder_count
-    above _FINDER_CROSSOVER and to the table _count_model_mod_p below it;
-    the table also takes the scalar finder's misses.
+    The one place that picks a count's method, single counts included.  The
+    table _count_model_mod_p counts every p up to _LANE_FLOOR and every bad
+    p; an order finder counts every good p above it.  Those p are lanes, run
+    _LANES at a time in rounds of at least _LANE_MIN; a lane a round leaves
+    unpinned rides in a later batch of the block.  A lane that no round
+    runs, or that _LANE_ROUNDS rounds leave unpinned, goes to
+    _fp_finder_count, and the table takes only that finder's misses.  Every
+    draw of the block comes from one generator, seeded from the model and
+    the first prime.
     """
     if not primes:
         return []
@@ -1143,14 +1143,14 @@ def _count_chunk(ai, primes) -> list:
             lanes.append((i, p, model, mc4, mc6))
         else:
             out[i] = _count_model_mod_p(model, p)
+    rng = _finder_rng(primes[0], ai) if lanes else None
     # lanes is a queue: an unpinned lane rejoins its tail, so it shares a
     # later batch with fresh lanes instead of a pass of its own
     unpinned = Counter()
-    left, start, rng = [], 0, None
+    left, start = [], 0
     while len(lanes) - start >= _LANE_MIN:
         batch = lanes[start:start + _LANES]
         start += len(batch)
-        rng = rng or _finder_rng(primes[0], ai)
         _, ps, _, c4s, c6s = zip(*batch)
         for lane, n in zip(batch, _lane_round(ps, c4s, c6s, rng)):
             if n is not None:
@@ -1162,9 +1162,7 @@ def _count_chunk(ai, primes) -> list:
             else:
                 left.append(lane)
     for i, p, model, c4, c6 in left + lanes[start:]:
-        n = None
-        if p > _FINDER_CROSSOVER:
-            n = _fp_finder_count(c4, c6, p, _finder_rng(p, (a % p for a in model)))
+        n = _fp_finder_count(c4, c6, p, rng)
         out[i] = _count_model_mod_p(model, p) if n is None else n
     return list(map(_checked_count, primes, out, lds))
 

@@ -17,7 +17,6 @@ from .curve import (
     CurveQ,
     _invariant_kernel,
     curve,
-    integral_model,
     make_family,
 )
 from .errors import (
@@ -29,6 +28,8 @@ from .errors import (
 from .reduction import (
     CHUNK,
     _count_chunk,
+    _good_at,
+    _ints,
     _walk_primes,
     bad_primes,
     count_curveK_at_prime,
@@ -181,10 +182,10 @@ def congruence_survey(c: CurveQ, spec: SurveySpec, workers: int = 1) -> Congruen
     table is identical for every worker count.  A bound above COUNT_CEILING
     is refused before any prime is sieved or counted.
     """
-    skip = set(spec.exclusions) | set(bad_primes(c))
-    skip |= set(factorize(2 * spec.m * spec.N))
-    ps = _walk_primes(2, spec.X, lambda p: p not in skip)
-    ai = tuple(int(a) for a in integral_model(c).ainvs)
+    skip = set(spec.exclusions) | set(factorize(2 * spec.m * spec.N))
+    ai = _ints(c)
+    good = _good_at(ai)
+    ps = _walk_primes(2, spec.X, lambda p: p not in skip and good(p))
     chunks = [ps[i:i + CHUNK] for i in range(0, len(ps), CHUNK)]
     jobs = [(ai, spec.m, spec.N, chunk) for chunk in chunks]
     if workers > 1 and len(jobs) > 1:
@@ -252,9 +253,8 @@ def gcd_orders(c: CurveQ, X: int, include_bad: bool = True) -> int:
     """
     if X < 50:
         raise InputError(f"prime bound must be at least 50, got {X}")
-    bad = frozenset() if include_bad else bad_primes(c)
     g = 0
-    for _, n in prime_walk(c, 2, X, lambda p: p not in bad):
+    for _, n in prime_walk(c, 2, X, None if include_bad else _good_at(_ints(c))):
         g = math.gcd(g, n)
         if g == 1:
             return 1
@@ -294,9 +294,8 @@ def scan_supersingular(c: CurveQ, X: int, moduli=()) -> list:
         raise InputError(f"prime bound must be at least 50, got {X}")
     if any(mod < 1 for mod in moduli):
         raise InputError(f"moduli must be positive, got {tuple(moduli)}")
-    bad = bad_primes(c)
     return [(p, tuple(p % mod for mod in moduli))
-            for p, n in prime_walk(c, 5, X, lambda p: p not in bad)
+            for p, n in prime_walk(c, 5, X, _good_at(_ints(c)))
             if n == p + 1]
 
 
@@ -306,9 +305,8 @@ def scan_anomalous(c: CurveQ, X: int, modulus: int = 1) -> list:
         raise InputError(f"prime bound must be at least 50, got {X}")
     if modulus < 1:
         raise InputError(f"modulus must be positive, got {modulus}")
-    bad = bad_primes(c)
     return [(p, p % modulus)
-            for p, n in prime_walk(c, 2, X, lambda p: p not in bad)
+            for p, n in prime_walk(c, 2, X, _good_at(_ints(c)))
             if n % p == 0]
 
 
@@ -329,12 +327,13 @@ def scan_twist_dichotomy(
     if ell < 2:
         raise InputError(f"need a modulus of at least 2, got {ell}")
     m_inert = ell if inert_modulus is None else inert_modulus
-    skip = set(bad_primes(c)) | set(factorize(2 * d * ell * m_inert))
+    skip = set(factorize(2 * d * ell * m_inert))
+    good = _good_at(_ints(c))
     matched = []
     violations = []
     split_hits = 0
-    for p, n in prime_walk(c, 3, X, lambda p: p not in skip):
-        if legendre(d % p, p) == 1:
+    for p, n in prime_walk(c, 3, X, lambda p: p not in skip and good(p)):
+        if _euler(d, p) == 1:
             ok = n % ell == 0
             context = f"split, expected 0 mod {ell}"
             split_hits += ok
@@ -415,8 +414,8 @@ def verify_family(name: str, params: list, X: int) -> ScanReport:
     violations = []
     for t in params:
         c = make_family(name, t=t)
-        bad = bad_primes(c)
-        for p, n in prime_walk(c, 2, X, lambda p: p not in bad and qualifies(t, p)):
+        good = _good_at(_ints(c))
+        for p, n in prime_walk(c, 2, X, lambda p: good(p) and qualifies(t, p)):
             if n % modulus:
                 violations.append(
                     Violation(p, n, n % modulus, frozenset({0}), f"t={t}")

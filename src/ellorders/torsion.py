@@ -22,6 +22,7 @@ from .curve import CurveQ, _icbrt, integral_model, invariants, quadratic_twist
 from .errors import DataIntegrityError, InputError, ResourceError
 from .reduction import (
     _QQ,
+    _check_field,
     _fq_field,
     _fq_pt_mul,
     _mul,
@@ -501,6 +502,7 @@ def odd_torsion_over_quadratic(c: CurveQ, d: int) -> int:
     The odd torsion over the quadratic field splits as the direct sum of the
     rational odd torsion of the curve and of its twist by d.
     """
+    _check_field(d)
     base = torsion_over_Q(c).order
     tw = torsion_over_Q(quadratic_twist(c, d)).order
     return _odd_part(base) * _odd_part(tw)

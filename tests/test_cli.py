@@ -228,6 +228,15 @@ class TestScanCommands:
                      "--t", "1", "--mod", "5")
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("args", [
+        ["count"], ["supersingular"], ["anomalous"], ["extension", "--d", "5"],
+        ["twist", "--d", "5"], ["survey", "--mod", "4", "--class-mod", "5"]])
+    def test_unfactored_discriminant(self, runner, args):
+        # 4 + 27 B^2 = 2^4 * 66670759 * 253109473: no scan factors it
+        res = invoke(runner, *args, "--curve", "[0,0,0,1,100000002]",
+                     "--max-prime", "300")
+        assert res.exit_code == 0, res.output
+
 
 class TestResolveCommand:
     def test_md_output(self, runner):

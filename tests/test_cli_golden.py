@@ -75,7 +75,7 @@ COMMANDS = [
 FORMATS = ("md", "csv", "json")
 
 # (case name, arguments without --format) for the prime-walking commands to
-# 6000, past the crossover where counts go to numpy lanes; json only
+# 6000, past the lane floor, where counts go to numpy lanes; json only
 WALKED = [
     ("count", ["count", "--curve", "[1,1,0,-700,34000]"]),
     ("twist", ["twist", "--curve", "[1,-1,1,-199,510]", "--d", "-3"]),

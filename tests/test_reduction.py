@@ -1,6 +1,8 @@
+import ast
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,11 +411,10 @@ class TestOrderFinder:
     CURVES = ((0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 1, 0, -2, 0), (1, 1, 0, -700, 34000))
 
     def test_fp_finder_matches_table(self):
-        # every good p from Mestre's bound to 5000, the crossover before the
-        # finder stopped computing point orders, and at least 2000 above the
-        # crossover, where count_points_fp uses it
-        cross = reduction._FINDER_CROSSOVER
-        primes = primes_in_range(230, max(5000, cross + 2000))
+        # every good p from Mestre's bound to 5000, and at least 2000 above
+        # the lane floor, where count_points_fp uses the finder
+        floor = reduction._LANE_FLOOR
+        primes = primes_in_range(230, max(5000, floor + 2000))
         supersingular = 0
         for ai in self.CURVES:
             _, _, _, _, c4, c6, disc = _invariant_kernel(ai)
@@ -423,7 +424,7 @@ class TestOrderFinder:
                 want = _count_model_mod_p(ai, p)
                 got = _fp_finder_count(c4, c6, p, _finder_rng(p, ai))
                 assert got == want, (ai, p)
-                if p > cross:
+                if p > floor:
                     assert count_points_fp(curve(list(ai)), p).count == want
                 supersingular += want == p + 1
         assert supersingular > 200
@@ -479,7 +480,7 @@ class TestOrderFinder:
 
     def test_fallbacks_return_the_oracle_values(self, monkeypatch):
         ai = self.CURVES[3]
-        p = primes_in_range(reduction._FINDER_CROSSOVER + 1, 10**5)[0]
+        p = primes_in_range(reduction._LANE_FLOOR + 1, 10**5)[0]
         want = _count_model_mod_p(ai, p)
         ck = everywhere_good_6()
         inv, q, red = invariants_K(ck), 229, _reduce_quad(229)
@@ -547,39 +548,115 @@ class TestLaneFinder:
             assert _count_chunk(ai, primes) == want, ai
         assert seen[1] > 0.8 * sum(len(ps) for ps, _ in wants.values())
 
-    def test_chunk_matches_table_above_crossover(self, monkeypatch):
-        cross = reduction._FINDER_CROSSOVER
-        self._matches_table(monkeypatch, cross + 1, cross + 2000)
+    def test_chunk_matches_table_far_above_lane_floor(self, monkeypatch):
+        floor = reduction._LANE_FLOOR
+        self._matches_table(monkeypatch, floor + 1501, floor + 3500)
 
-    def test_chunk_matches_table_between_lane_floor_and_crossover(self, monkeypatch):
-        self._matches_table(monkeypatch, reduction._LANE_FLOOR + 1,
-                            reduction._FINDER_CROSSOVER)
+    def test_chunk_matches_table_just_above_lane_floor(self, monkeypatch):
+        floor = reduction._LANE_FLOOR
+        self._matches_table(monkeypatch, floor + 1, floor + 1500)
 
     def test_narrow_chunk_runs_no_lane_round(self, monkeypatch):
         ai = TestOrderFinder.CURVES[3]
         disc = _invariant_kernel(ai)[6]
-        primes = [p for p in primes_in_range(reduction._FINDER_CROSSOVER + 1, 10**4)
+        primes = [p for p in primes_in_range(reduction._LANE_FLOOR + 1, 10**4)
                   if disc % p][:reduction._LANE_MIN - 1]
         want = [_count_model_mod_p(ai, p) for p in primes]
         seen = self._pinned(monkeypatch)
         assert _count_chunk(ai, primes) == want
         assert seen[0] == 0
 
-    def test_one_prime_chunk_above_lane_floor_is_a_table_count(self, monkeypatch):
+    @staticmethod
+    def _methods(monkeypatch):
+        """Spy on the table and the scalar finder: the primes each counted."""
+        seen = {"table": [], "scalar": []}
+        table, scalar = reduction._count_model_mod_p, reduction._fp_finder_count
+        monkeypatch.setattr(reduction, "_count_model_mod_p",
+                            lambda ai, p: seen["table"].append(p) or table(ai, p))
+        monkeypatch.setattr(
+            reduction, "_fp_finder_count",
+            lambda c4, c6, p, rng: seen["scalar"].append(p) or scalar(c4, c6, p, rng))
+        return seen
+
+    def test_one_prime_chunk_above_lane_floor_is_a_scalar_finder_count(self, monkeypatch):
         ai = TestOrderFinder.CURVES[3]
         disc = _invariant_kernel(ai)[6]
-        p = next(p for p in primes_in_range(reduction._LANE_FLOOR + 1,
-                                            reduction._FINDER_CROSSOVER) if disc % p)
+        p = next(p for p in primes_in_range(reduction._LANE_FLOOR + 1, 10**4) if disc % p)
         want = _count_model_mod_p(ai, p)
-        tables = []
-        real = reduction._count_model_mod_p
-        monkeypatch.setattr(reduction, "_count_model_mod_p",
-                            lambda ai, p: tables.append(p) or real(ai, p))
-        monkeypatch.setattr(reduction, "_fp_finder_count", None)
+        methods = self._methods(monkeypatch)
         seen = self._pinned(monkeypatch)
         assert _count_chunk(ai, [p]) == [want]
-        assert tables == [p]
+        assert methods == {"table": [], "scalar": [p]}
         assert seen[0] == 0
+
+    def test_one_prime_chunk_at_lane_floor_is_a_table_count(self, monkeypatch):
+        ai = TestOrderFinder.CURVES[3]
+        p = primes_in_range(2, reduction._LANE_FLOOR)[-1]
+        assert _invariant_kernel(ai)[6] % p
+        want = _count_model_mod_p(ai, p)
+        methods = self._methods(monkeypatch)
+        seen = self._pinned(monkeypatch)
+        assert _count_chunk(ai, [p]) == [want]
+        assert methods == {"table": [p], "scalar": []}
+        assert seen[0] == 0
+
+    def test_block_draws_from_one_generator(self, monkeypatch):
+        # one lane round over the whole block leaves at least three lanes
+        # unpinned, too few for a second round, so they go to the scalar
+        # finder; the round and the finder draw from one generator
+        ai = TestOrderFinder.CURVES[3]
+        disc = _invariant_kernel(ai)[6]
+        primes = [p for p in primes_in_range(5000, 10**4)
+                  if disc % p][:reduction._LANE_MIN + 8]
+        want = [_count_model_mod_p(ai, p) for p in primes]
+        seeded, rngs, scalar = [], [], []
+        real_rng, real_round, real_scalar = (
+            reduction._finder_rng, reduction._lane_round, reduction._fp_finder_count)
+
+        def finder_rng(*args):
+            seeded.append(args)
+            return real_rng(*args)
+
+        def lane_round(ps, c4s, c6s, rng):
+            rngs.append(rng)
+            return [None] * 3 + real_round(ps, c4s, c6s, rng)[3:]
+
+        def fp_finder_count(c4, c6, p, rng):
+            rngs.append(rng)
+            scalar.append(p)
+            return real_scalar(c4, c6, p, rng)
+
+        monkeypatch.setattr(reduction, "_finder_rng", finder_rng)
+        monkeypatch.setattr(reduction, "_lane_round", lane_round)
+        monkeypatch.setattr(reduction, "_fp_finder_count", fp_finder_count)
+        assert _count_chunk(ai, primes) == want
+        assert len(seeded) == 1
+        assert len(scalar) >= 3 and len(rngs) == 1 + len(scalar)
+        assert all(rng is rngs[0] for rng in rngs)
+
+    def test_count_chunk_alone_names_the_count_methods(self):
+        # a second place that picks how an F_p count is made would have to
+        # name the table, the scalar finder or a lane round; the package
+        # source names them only in their definitions and in _count_chunk
+        kernels = {"_count_model_mod_p", "_fp_finder_count", "_lane_round"}
+        users = set()
+
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                where = f"{where}.{node.name}"
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            if names & kernels:
+                users.add(where)
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        sources = sorted(Path(reduction.__file__).parent.glob("*.py"))
+        assert len(sources) > 5
+        for path in sources:
+            visit(ast.parse(path.read_text(), str(path)), path.stem)
+        assert users == {"reduction._count_chunk"}
 
     def test_chunk_matches_scalar_finder_near_count_ceiling(self, monkeypatch):
         ai = TestOrderFinder.CURVES[3]
@@ -594,7 +671,7 @@ class TestLaneFinder:
 
     def test_single_count_is_one_chunk_without_a_lane_round(self, monkeypatch):
         ai = TestOrderFinder.CURVES[3]
-        p = primes_in_range(reduction._FINDER_CROSSOVER + 1, 10**5)[0]
+        p = primes_in_range(reduction._LANE_FLOOR + 1, 10**5)[0]
         chunks = []
         real = reduction._count_chunk
         monkeypatch.setattr(reduction, "_count_chunk",

@@ -25,7 +25,7 @@ from ellorders.curve import (
     quadratic_twist,
 )
 from ellorders.errors import DataIntegrityError, InputError, ResourceError
-from ellorders.reduction import COUNT_CEILING, count_points_fp
+from ellorders.reduction import COUNT_CEILING, count_points_fp, quadratic_walk
 from ellorders.survey import (
     CongruenceTable,
     ExpectedTable,
@@ -49,10 +49,13 @@ from ellorders.torsion import point_order, torsion_over_Q
 SIX_CURVE = [0, 0, 0, -12, -11]  # bad at 2,3,5; counts land in {0,6} mod 12
 # the same curve on a model scaled by u = 1/7: not minimal at the good prime 7
 SCALED_SIX_CURVE = [0, 0, 0, -12 * 7**4, -11 * 7**6]
-# scaled by u = 1/2521: 2521 is above the order finder's crossover
+# scaled by u = 1/2521: 2521 is above the lane floor, where the order finders count
 SCALED_2521_SIX_CURVE = [0, 0, 0, -12 * 2521**4, -11 * 2521**6]
 Z10_CURVE = [1, 1, 0, -700, 34000]  # Z/2 over Q, Z/10 over Q(sqrt 5)
 SEVENTEEN = [1, -1, 1, -1, -14]  # conductor 17, Z/4
+# 4 + 27 B^2 = 2^4 * 66670759 * 253109473 for B = 100000002: the cofactor
+# past 2^4 has no prime factor within factorize's trial bound
+UNFACTORED_DISC = [0, 0, 0, 1, 100000002]
 
 
 def _lie_at_good_primes(monkeypatch):
@@ -527,6 +530,34 @@ class TestVerifyFamily:
     def test_bound_validation(self):
         with pytest.raises(InputError):
             verify_family("family3", [1], 49)
+
+
+class TestUnfactoredDiscriminant:
+    """Scans decide good reduction at each walked prime, so a discriminant
+    that factorize cannot split stops none of them; only 2 is bad here."""
+
+    def test_scans_to_a_thousand(self):
+        c = curve(UNFACTORED_DISC)
+        with pytest.raises(ResourceError):
+            bad_primes(c)
+        odd = primes_in_range(3, 1000)
+        counts = {p: count_points_fp(c, p).count for p in odd}
+        away = [p for p in odd if p != 5]  # 5 divides 2 m N and d below
+        table = congruence_survey(c, SurveySpec(4, 5, 1000))
+        assert sorted(p for ps in table.primes_by_cell.values() for p in ps) == away
+        assert all((p % 5, counts[p] % 4) == key
+                   for key, ps in table.primes_by_cell.items() for p in ps)
+        assert gcd_orders(c, 1000, include_bad=False) == math.gcd(*counts.values())
+        assert scan_supersingular(c, 1000) == [
+            (p, ()) for p in odd if p >= 5 and counts[p] == p + 1]
+        assert scan_anomalous(c, 1000) == [(p, 0) for p in odd if counts[p] % p == 0]
+        report = scan_twist_dichotomy(c, 5, 3, 1000)
+        assert sorted(report.matched + tuple(v.p for v in report.violations)) == [
+            p for p in away if p != 3]
+        assert list(quadratic_walk(c, 5, 1000)) == [
+            (p, legendre(5, p) == 1,
+             counts[p] if legendre(5, p) == 1 else counts[p] * (2 * p + 2 - counts[p]))
+            for p in away]
 
 
 class TestKubertConditions:

@@ -492,6 +492,11 @@ class TestQuadraticTorsion:
     def test_odd_part_fixed_when_twist_adds_nothing(self):
         assert odd_torsion_over_quadratic(kubert5(1), 6) == 5
 
+    def test_d_one_names_no_quadratic_field(self):
+        # the twist by 1 is the curve itself, so its Z/5 would count twice
+        with pytest.raises(InputError):
+            odd_torsion_over_quadratic(curve([0, -1, 1, -10, -20]), 1)
+
     def test_gaussian_bound_on_small_conductor_curve(self):
         c = curve([1, -1, 1, -1, -14])
         assert quadratic_torsion_bound(c, -1, 2000) == 8
