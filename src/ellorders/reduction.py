@@ -503,18 +503,24 @@ def count_extension(trace_or_count, p: int | None = None, n: int = 2) -> PointCo
     return PointCount(p, n, p**n + 1 - an, an)
 
 
+def _good_model_at(ai, p, what):
+    """The p-minimal model of the integral model ai, which must have good
+    reduction at p; what names the caller in the refusal."""
+    if _invariant_kernel(ai)[6] % p:
+        return ai
+    ld = _local_data_ints(ai, p)
+    if ld.rtype is not ReductionType.GOOD:
+        raise InputError(f"{what} needs good reduction at {p}")
+    return ld.minimal_ainvs
+
+
 def count_fp2_direct(c: CurveQ, p: int) -> int:
     """Enumerative |E(F_{p^2})| for small odd good p: the n = 2 oracle."""
     if p < 3 or not is_prime(p) or p > FP2_DIRECT_CEILING:
         raise InputError(
             f"direct F_p^2 enumeration supports odd primes up to {FP2_DIRECT_CEILING}"
         )
-    ai = _ints(c)
-    if _invariant_kernel(ai)[6] % p == 0:
-        ld = _local_data_ints(ai, p)
-        if ld.rtype is not ReductionType.GOOD:
-            raise InputError(f"direct F_p^2 enumeration needs good reduction at {p}")
-        ai = ld.minimal_ainvs
+    ai = _good_model_at(_ints(c), p, "direct F_p^2 enumeration")
     b2, b4, b6, *_ = _invariant_kernel(ai)
     r = 2
     while legendre(r, p) != -1:
@@ -526,10 +532,8 @@ def twist_count_identity_check(c: CurveQ, p: int) -> bool:
     """Check |E(F_p)| + |E^d(F_p)| = 2p + 2 for a nonresidue twist d mod p."""
     if p < 3 or not is_prime(p):
         raise InputError("twist identity check needs an odd prime")
-    ai = _ints(c)
-    b2, b4, b6, _, _, _, disc = _invariant_kernel(ai)
-    if disc % p == 0:
-        raise InputError(f"twist identity check needs good reduction at {p}")
+    ai = _good_model_at(_ints(c), p, "twist identity check")
+    b2, b4, b6, *_ = _invariant_kernel(ai)
     # complete the square only; eliminating the x^2 term would need p > 3
     inv2 = pow(2, p - 2, p)
     inv4 = inv2 * inv2 % p
@@ -611,16 +615,6 @@ def _residue_order(n, p, split):
     return n if split else n * (2 * p + 2 - n)
 
 
-def quadratic_walk(c: CurveQ, d: int, X: int):
-    """(p, split, |E(O_K/P)|) at each odd good p <= X unramified in
-    K = Q(sqrt d), ascending, counted by one prime walk."""
-    _check_field(d)
-    good = _good_at(_ints(c))
-    for p, n in prime_walk(c, 3, X, lambda p: d % p and good(p)):
-        split = _euler(d % p, p) == 1
-        yield p, split, _residue_order(n, p, split)
-
-
 # ---------------------------------------------------------------------------
 # The group law of a long Weierstrass model, once for any field (Silverman,
 # AEC III.2.3).  A field is F = (add, sub, mul, inv, zero); points are
@@ -655,11 +649,6 @@ def _fq_field(p, r):
         return (a[0] * ni % p, -a[1] * ni % p)
 
     return add, sub, mul, inv, (0, 0)
-
-
-def _fq_mul(a, b, p, r):
-    """a * b in F_{p^2} = F_p(s), s^2 = r: the field's own product."""
-    return _fq_field(p, r)[2](a, b)
 
 
 def _pt_neg(pt, ai, F):
@@ -1249,41 +1238,74 @@ def _fq_group_order(ai, p, r, b246, c46):
     return _fq_enumerate(b246, p, r)
 
 
-def count_curveK_at_prime(c: CurveK, p: int) -> list:
-    """Residue field point counts above p for a curve over Q(sqrt d).
-
-    Split p: two counts, the embedding using the smaller square root of d
-    mod p first. Inert p: one count over F_{p^2}. Ramified p and p = 2 are
-    refused; primes dividing the reduced discriminant raise
-    BadReductionError so scans can skip them.
-    """
-    d = c.d
-    sp = splitting(d, p)
-    if p == 2:
-        raise UnsupportedPrimeError("residue counts at 2 are not supported")
-    if sp.kind is SplitKind.RAMIFIED:
-        raise UnsupportedPrimeError(f"{p} ramifies in Q(sqrt {d})")
+def _place_orders(c: CurveK, p: int, split: bool):
+    """|E(O_K/P)| at each place P above an odd prime p unramified in K, in
+    count_curveK_at_prime's order, or None when the model is bad at some
+    place above p."""
     inv = invariants_K(c)
     inv2 = pow(2, p - 2, p)
-    if sp.kind is SplitKind.SPLIT:
-        root = _sqrt_mod(d % p, p)  # splitting proved p prime
-        counts = []
+    if split:
+        root = _sqrt_mod(c.d % p, p)
+        models = []
         for rt in (root, p - root):
             def emb(z: QuadInt) -> int:
                 u, v = z.doubled()
                 return ((u + v * rt) * inv2) % p
             if emb(inv.disc) == 0:
-                raise BadReductionError(f"bad reduction above {p} (split)")
-            counts += _count_chunk(tuple(emb(a) for a in c.ainvs), [p])
-        return counts
-    # inert: residue field F_{p^2} = F_p(sqrt d)
+                return None
+            models.append(tuple(emb(a) for a in c.ainvs))
+        return [n for model in models for n in _count_chunk(model, [p])]
+
     def embq(z: QuadInt):
         u, v = z.doubled()
         return ((u * inv2) % p, (v * inv2) % p)
 
     if embq(inv.disc) == (0, 0):
-        raise BadReductionError(f"bad reduction above {p} (inert)")
+        return None
     ai = tuple(embq(a) for a in c.ainvs)
     b246 = (embq(inv.b2), embq(inv.b4), embq(inv.b6))
-    n = _fq_group_order(ai, p, d % p, b246, (embq(inv.c4), embq(inv.c6)))
+    n = _fq_group_order(ai, p, c.d % p, b246, (embq(inv.c4), embq(inv.c6)))
     return [_checked_count(p * p, n)]
+
+
+def count_curveK_at_prime(c: CurveK, p: int) -> list:
+    """Residue field point counts above p for a curve over Q(sqrt d).
+
+    Split p: two counts, the embedding using the smaller square root of d
+    mod p first. Inert p: one count over F_{p^2}. Ramified p and p = 2 are
+    refused, and so are primes where the model is bad at a place above p
+    (BadReductionError).  The counts are those quadratic_walk yields at p.
+    """
+    sp = splitting(c.d, p)
+    if p == 2:
+        raise UnsupportedPrimeError("residue counts at 2 are not supported")
+    if sp.kind is SplitKind.RAMIFIED:
+        raise UnsupportedPrimeError(f"{p} ramifies in Q(sqrt {c.d})")
+    counts = _place_orders(c, p, sp.kind is SplitKind.SPLIT)
+    if counts is None:
+        raise BadReductionError(f"bad reduction above {p} ({sp.kind.value})")
+    return counts
+
+
+def quadratic_walk(c, d: int, X: int):
+    """(p, split, |E(O_K/P)|) at each place P of K = Q(sqrt d) above an odd
+    prime p <= X unramified in K, ascending in p, from one prime walk.
+
+    A rational curve yields one triple per good p: both places above a
+    split p have the order N_p.  A curve over K itself (d must be its own)
+    yields one triple per place, the split places in count_curveK_at_prime's
+    order, and skips each p where its model is bad at some place above p.
+    """
+    if not isinstance(c, CurveK):
+        _check_field(d)
+        good = _good_at(_ints(c))
+        for p, n in prime_walk(c, 3, X, lambda p: d % p and good(p)):
+            split = _euler(d % p, p) == 1
+            yield p, split, _residue_order(n, p, split)
+        return
+    if d != c.d:
+        raise InputError(f"curve lives in Q(sqrt {c.d}), not Q(sqrt {d})")
+    for p in _walk_primes(3, X, lambda p: d % p):
+        split = _euler(d % p, p) == 1
+        for n in _place_orders(c, p, split) or ():
+            yield p, split, n

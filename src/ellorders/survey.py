@@ -1,15 +1,18 @@
 """Prime-range scans: congruence tables, densities, gcd of orders, families.
 
-Every scan of a rational curve counts its primes through reduction.prime_walk
-(congruence_survey in fixed-size blocks, so its table does not depend on the
-worker count), buckets or folds the counts, and reports violations with the
-exact primes involved.  Scans are pure.
+Every scan walks its primes in ascending order and folds or buckets one
+stream of counts.  congruence_survey counts its primes in fixed blocks of
+CHUNK through reduction._count_chunk, serially or one block per pool job;
+the other scans of a rational curve count through reduction.prime_walk, and
+gcd_orders_quadratic folds reduction.quadratic_walk.  Reports list
+violations with the exact primes involved.  Scans are pure.
 """
 
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 
 from .arith import _euler, factorize, is_prime, legendre
 from .curve import (
@@ -19,12 +22,7 @@ from .curve import (
     curve,
     make_family,
 )
-from .errors import (
-    BadReductionError,
-    DataIntegrityError,
-    InputError,
-    UnsupportedPrimeError,
-)
+from .errors import DataIntegrityError, InputError
 from .reduction import (
     CHUNK,
     _count_chunk,
@@ -32,7 +30,6 @@ from .reduction import (
     _ints,
     _walk_primes,
     bad_primes,
-    count_curveK_at_prime,
     prime_walk,
 )
 from .torsion import division_value_mod, quadratic_torsion_bound
@@ -146,58 +143,37 @@ class ScanReport:
             raise DataIntegrityError("pass flag contradicts the violation list")
 
 
-def _scan_chunk(args):
-    ai, m, N, primes = args
-    rows = {}
-    cells = {}
-    for p, n in zip(primes, _count_chunk(ai, primes)):
-        s, t = p % N, n % m
-        rows.setdefault(s, {})
-        rows[s][t] = rows[s].get(t, 0) + 1
-        cells.setdefault((s, t), []).append(p)
-    return rows, cells
-
-
-def _merge(parts):
-    rows = {}
-    cells = {}
-    total = 0
-    for part_rows, part_cells in parts:
-        for s, bucket in part_rows.items():
-            row = rows.setdefault(s, {})
-            for t, n in bucket.items():
-                row[t] = row.get(t, 0) + n
-                total += n
-        for key, ps in part_cells.items():
-            cells.setdefault(key, []).extend(ps)
-    cells = {key: tuple(sorted(ps)) for key, ps in cells.items()}
-    return rows, cells, total
-
-
 def congruence_survey(c: CurveQ, spec: SurveySpec, workers: int = 1) -> CongruenceTable:
     """Bucket N_p mod m under p mod N over good primes up to X.
 
     Excluded primes: the bad ones, divisors of 2 m N, and anything the
-    spec adds on top.  Chunks are a fixed 2048 primes wide, so the merged
-    table is identical for every worker count.  A bound above COUNT_CEILING
-    is refused before any prime is sieved or counted.
+    spec adds on top.  The primes are counted in fixed blocks of CHUNK,
+    serially or one block per pool job, and bucketed in one ascending
+    stream, so the table is identical for every worker count.  A bound
+    above COUNT_CEILING is refused before any prime is sieved or counted.
     """
     skip = set(spec.exclusions) | set(factorize(2 * spec.m * spec.N))
     ai = _ints(c)
     good = _good_at(ai)
     ps = _walk_primes(2, spec.X, lambda p: p not in skip and good(p))
-    chunks = [ps[i:i + CHUNK] for i in range(0, len(ps), CHUNK)]
-    jobs = [(ai, spec.m, spec.N, chunk) for chunk in chunks]
-    if workers > 1 and len(jobs) > 1:
+    blocks = [ps[i:i + CHUNK] for i in range(0, len(ps), CHUNK)]
+    if workers > 1 and len(blocks) > 1:
         # imported here: it loads multiprocessing, about 2 MB resident
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_scan_chunk, jobs))
+            counts = list(pool.map(_count_chunk, repeat(ai), blocks))
     else:
-        parts = [_scan_chunk(job) for job in jobs]
-    rows, cells, total = _merge(parts)
-    return CongruenceTable(spec.m, spec.N, spec.X, ai, rows, total, cells)
+        counts = map(_count_chunk, repeat(ai), blocks)
+    rows = {}
+    cells = {}
+    for p, n in zip(ps, chain.from_iterable(counts)):
+        s, t = p % spec.N, n % spec.m
+        row = rows.setdefault(s, {})
+        row[t] = row.get(t, 0) + 1
+        cells.setdefault((s, t), []).append(p)
+    cells = {key: tuple(primes) for key, primes in cells.items()}
+    return CongruenceTable(spec.m, spec.N, spec.X, ai, rows, len(ps), cells)
 
 
 def verify_expected(table: CongruenceTable, exp: ExpectedTable) -> ScanReport:
@@ -269,20 +245,8 @@ def gcd_orders_quadratic(c, d: int | None = None, X: int = 2000) -> int:
     """
     if X < 100:
         raise InputError(f"prime bound must be at least 100, got {X}")
-    if isinstance(c, CurveK):
-        if d is not None and d != c.d:
-            raise InputError(f"curve lives in Q(sqrt {c.d}), not Q(sqrt {d})")
-        g = 0
-        for p in _walk_primes(3, X, None):
-            try:
-                counts = count_curveK_at_prime(c, p)
-            except (BadReductionError, UnsupportedPrimeError):
-                continue
-            for n in counts:
-                g = math.gcd(g, n)
-            if g == 1:
-                return 1
-        return g
+    if isinstance(c, CurveK) and d is None:
+        d = c.d
     if d is None:
         raise InputError("a rational curve needs the twisting integer d")
     return quadratic_torsion_bound(c, d, X)
@@ -308,60 +272,6 @@ def scan_anomalous(c: CurveQ, X: int, modulus: int = 1) -> list:
     return [(p, p % modulus)
             for p, n in prime_walk(c, 2, X, _good_at(_ints(c)))
             if n % p == 0]
-
-
-def scan_twist_dichotomy(
-    c: CurveQ, d: int, ell: int, X: int, inert_modulus: int | None = None
-) -> ScanReport:
-    """Check the split/inert count congruence against the twist by d.
-
-    Over primes up to X away from the bad ones and from 2 d ell, the
-    count must be 0 mod ell when d is a square mod p, and 2p+2 mod the
-    inert modulus (ell by default) when it is not.  Passing an explicit
-    inert modulus, typically the twist's own rational torsion order, is a
-    lower-bound substitute for the sharpest admissible one; the report
-    notes the substitution.
-    """
-    if X < 50:
-        raise InputError(f"prime bound must be at least 50, got {X}")
-    if ell < 2:
-        raise InputError(f"need a modulus of at least 2, got {ell}")
-    m_inert = ell if inert_modulus is None else inert_modulus
-    skip = set(factorize(2 * d * ell * m_inert))
-    good = _good_at(_ints(c))
-    matched = []
-    violations = []
-    split_hits = 0
-    for p, n in prime_walk(c, 3, X, lambda p: p not in skip and good(p)):
-        if _euler(d, p) == 1:
-            ok = n % ell == 0
-            context = f"split, expected 0 mod {ell}"
-            split_hits += ok
-        else:
-            ok = n % m_inert == (2 * p + 2) % m_inert
-            context = f"inert, expected 2p+2 mod {m_inert}"
-        if ok:
-            matched.append(p)
-        else:
-            violations.append(Violation(p, n, n % ell, frozenset(), context))
-    total = len(matched) + len(violations)
-    densities = {}
-    if total:
-        densities[("split", 0)] = Fraction(split_hits, total)
-    notes = ()
-    if inert_modulus is not None:
-        notes = (
-            "inert congruence checked mod the twist's own rational torsion "
-            "order, a divisor of the sharpest admissible modulus",
-        )
-    return ScanReport(
-        passed=not violations,
-        matched=tuple(matched),
-        violations=tuple(violations),
-        densities=densities,
-        total=total,
-        notes=notes,
-    )
 
 
 # family divisibility: name -> (count modulus, qualifying-prime predicate).

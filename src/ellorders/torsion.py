@@ -414,6 +414,16 @@ def _short_map_back(c: CurveQ, u: int):
     return back
 
 
+def _reduction_bounds(ci: CurveQ):
+    """Running gcd of N_p over the odd p <= 4000 where the integral model ci
+    is good, one value per prime."""
+    disc = int(invariants(ci).disc)
+    bound = 0
+    for _, n in prime_walk(ci, 3, 4000, keep=lambda p: disc % p != 0):
+        bound = math.gcd(bound, n)
+        yield bound
+
+
 @functools.lru_cache(maxsize=256)
 def torsion_over_Q(c: CurveQ) -> TorsionGroup:
     """Exact rational torsion, by Lutz-Nagell search plus a reduction bound.
@@ -425,7 +435,9 @@ def torsion_over_Q(c: CurveQ) -> TorsionGroup:
     integer roots are exact.  The gcd of good counts at odd primes must be
     a multiple of the found order; the walk stops once that gcd rules out
     every larger Mazur structure.  The point search itself is exhaustive,
-    so the found structure is returned either way.
+    so the found structure is returned either way.  A discriminant that
+    factorize cannot split leaves no search; then a gcd of 1 still proves
+    the torsion trivial, and any other gcd re-raises the ResourceError.
     """
     ci = integral_model(c)
     inv = invariants(ci)
@@ -435,6 +447,10 @@ def torsion_over_Q(c: CurveQ) -> TorsionGroup:
     try:
         fac = factorize(D)
     except ResourceError as exc:
+        # torsion injects into E(F_p) at good odd p: a gcd of 1 proves it
+        # trivial without the divisor search
+        if 1 in _reduction_bounds(ci):
+            return TorsionGroup(1, 1, ())
         raise ResourceError(
             f"discriminant {-16 * D} too large for the torsion divisor search"
         ) from exc
@@ -466,11 +482,7 @@ def torsion_over_Q(c: CurveQ) -> TorsionGroup:
 
     # reduction bound: the point search is exhaustive, so the bound only
     # needs to rule out larger structures; check as it shrinks
-    disc = int(inv.disc)
-    bound = sampled = 0
-    for p, n in prime_walk(ci, 3, 4000, keep=lambda p: disc % p != 0):
-        bound = math.gcd(bound, n)
-        sampled += 1
+    for sampled, bound in enumerate(_reduction_bounds(ci), 1):
         if bound % order:
             raise DataIntegrityError(
                 f"reduction bound {bound} not divisible by found order {order}"
@@ -508,10 +520,11 @@ def odd_torsion_over_quadratic(c: CurveQ, d: int) -> int:
     return _odd_part(base) * _odd_part(tw)
 
 
-def quadratic_torsion_bound(c: CurveQ, d: int, max_prime: int = 2000) -> int:
-    """gcd of residue-field counts over Q(sqrt d): a multiple of the torsion
-    order there, and of every torsion order in the isogeny class over the
-    field."""
+def quadratic_torsion_bound(c, d: int, max_prime: int = 2000) -> int:
+    """gcd of residue-field counts over Q(sqrt d), folded over quadratic_walk
+    for a rational curve or a curve over the field: a multiple of the
+    torsion order there, and of every torsion order in the isogeny class
+    over the field."""
     if max_prime < 100:
         raise InputError(f"the prime bound must be at least 100, got {max_prime}")
     bound = 0

@@ -230,12 +230,21 @@ class TestScanCommands:
 
     @pytest.mark.parametrize("args", [
         ["count"], ["supersingular"], ["anomalous"], ["extension", "--d", "5"],
-        ["twist", "--d", "5"], ["survey", "--mod", "4", "--class-mod", "5"]])
+        ["twist", "--d", "5"], ["survey", "--mod", "4", "--class-mod", "5"],
+        ["torsion"], ["torsion", "--d", "5"]])
     def test_unfactored_discriminant(self, runner, args):
-        # 4 + 27 B^2 = 2^4 * 66670759 * 253109473: no scan factors it
+        # 4 + 27 B^2 = 2^4 * 66670759 * 253109473: no scan factors it, and
+        # a gcd of 1 proves the torsion trivial
         res = invoke(runner, *args, "--curve", "[0,0,0,1,100000002]",
                      "--max-prime", "300")
         assert res.exit_code == 0, res.output
+
+    def test_unfactored_discriminant_with_two_torsion(self, runner):
+        # y^2 = x (x^2 + a x + 1) with a - 2 and a + 2 prime above 10^7:
+        # (0, 0) keeps every gcd even, so the divisor search is still needed
+        res = invoke(runner, "torsion", "--curve", "[0,10000455,0,1,0]")
+        assert res.exit_code == 3
+        assert "too large for the torsion divisor search" in res.output
 
 
 class TestResolveCommand:

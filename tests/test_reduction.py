@@ -43,7 +43,6 @@ from ellorders.reduction import (
     _fq_field,
     _fq_finder_count,
     _fq_group_order,
-    _fq_mul,
     _lane_round,
     _order_finder,
     _pt_add,
@@ -55,11 +54,12 @@ from ellorders.reduction import (
     count_fp2_direct,
     count_points_fp,
     local_data,
+    quadratic_walk,
     smooth_locus_order,
     splitting,
     twist_count_identity_check,
 )
-from ellorders.survey import _scan_chunk, gcd_orders_quadratic
+from ellorders.survey import gcd_orders_quadratic
 
 
 class TestLocalData:
@@ -230,6 +230,16 @@ class TestCounting:
         for p in (7, 11, 13, 37, 101):
             assert twist_count_identity_check(curve([0, 0, 0, -12, -11]), p)
 
+    def test_twist_identity_on_non_minimal_models(self):
+        # u = 1/7 and 1/11 make 7 and 11 divide the model's discriminant,
+        # though the curve stays good there
+        c = curve([0, 0, 0, -12, -11])
+        for u, p in ((Fraction(1, 7), 7), (Fraction(1, 11), 11)):
+            moved = transformed(c, u=u)
+            assert _invariant_kernel(reduction._ints(moved))[6] % p == 0
+            assert twist_count_identity_check(moved, p)
+            assert count_points_fp(moved, p).count == count_points_fp(c, p).count
+
     def test_twist_identity_needs_good_prime(self):
         with pytest.raises(InputError):
             twist_count_identity_check(kubert5(1), 11)
@@ -290,9 +300,9 @@ class TestQuadraticCounts:
 
 
 class TestCurveKCounts:
-    def test_one_primality_proof_per_walked_prime(self, monkeypatch):
-        # splitting proves p prime; the split places' square root does not
-        # prove it again
+    def test_no_walked_prime_is_re_proved(self, monkeypatch):
+        # the walk's sieve proves each p prime; neither the splitting test
+        # nor the split places' square root proves it again
         from ellorders import arith, survey
 
         proofs = Counter()
@@ -305,8 +315,30 @@ class TestCurveKCounts:
         for mod in (arith, reduction, survey):
             monkeypatch.setattr(mod, "is_prime", spy)
         assert gcd_orders_quadratic(everywhere_good_33(), X=500) == 3
-        assert sorted(proofs) == primes_in_range(3, 500)
-        assert set(proofs.values()) == {1}
+        assert not proofs.keys() & set(primes_in_range(3, 500))
+
+    def test_walk_yields_the_counts_of_each_prime(self):
+        # every odd unramified p <= 500: the walk's orders above p are
+        # count_curveK_at_prime's, and it skips exactly the p that raise
+        for ck in (everywhere_good_33(), everywhere_good_6()):
+            walked = {}
+            for p, split, n in quadratic_walk(ck, ck.d, 500):
+                assert split == (splitting(ck.d, p).kind is SplitKind.SPLIT)
+                walked.setdefault(p, []).append(n)
+            skipped = []
+            for p in primes_in_range(3, 500):
+                if ck.d % p == 0:
+                    assert p not in walked
+                    continue
+                try:
+                    counts = count_curveK_at_prime(ck, p)
+                except BadReductionError:
+                    skipped.append(p)
+                    assert p not in walked
+                    continue
+                assert walked.pop(p) == counts, (ck.d, p)
+            assert walked == {}
+            assert len(skipped) < 10
 
     def test_rational_model_agrees_with_quadratic_count(self):
         cq = curve([0, 0, 0, -12, -11])
@@ -373,11 +405,12 @@ class TestCurveKCounts:
                 # E: y^2 = x^3 - c4/48 x - c6/864; its twist by a nonsquare
                 # g of F_{p^2}, one whose norm u^2 - r is a nonresidue
                 g = next((u, 1) for u in range(p) if legendre(u * u - r, p) == -1)
-                g2 = _fq_mul(g, g, p, r)
-                a4 = _fq_mul(red(-inv.c4), g2, p, r)
-                a6 = _fq_mul(red(-inv.c6), _fq_mul(g2, g, p, r), p, r)
-                a4 = _fq_mul(a4, (pow(48, -1, p), 0), p, r)
-                a6 = _fq_mul(a6, (pow(864, -1, p), 0), p, r)
+                mul = _fq_field(p, r)[2]
+                g2 = mul(g, g)
+                a4 = mul(red(-inv.c4), g2)
+                a6 = mul(red(-inv.c6), mul(g2, g))
+                a4 = mul(a4, (pow(48, -1, p), 0))
+                a6 = mul(a6, (pow(864, -1, p), 0))
                 # the twist is short: b2 = 0, b4 = 2 a4, b6 = 4 a6
                 tw = ((0, 0), (2 * a4[0] % p, 2 * a4[1] % p),
                       (4 * a6[0] % p, 4 * a6[1] % p))
@@ -462,10 +495,10 @@ class TestOrderFinder:
                 _fq_finder_count((red(inv.c4), red(inv.c6)), p, r, None)
                 draw, rng = draws.pop(), random.Random(p)
                 F = _fq_field(p, r)
-                a4 = _fq_mul(red(inv.c4), (-27 % p, 0), p, r)
+                a4 = F[2](red(inv.c4), (-27 % p, 0))
                 for drawn in filter(None, (draw(rng) for _ in range(3))):
                     P, _, add = drawn
-                    ai = ((0, 0), (0, 0), (0, 0), _fq_mul(a4, P[1], p, r), (0, 0))
+                    ai = ((0, 0), (0, 0), (0, 0), F[2](a4, P[1]), (0, 0))
                     jP = P
                     for _ in range(12):
                         assert add(jP, jP) == _pt_add(jP, jP, ai, F), (ck.d, p)
@@ -658,6 +691,20 @@ class TestLaneFinder:
             visit(ast.parse(path.read_text(), str(path)), path.stem)
         assert users == {"reduction._count_chunk"}
 
+    def test_no_function_catches_a_skip_error(self):
+        # scans skip primes by predicate: no handler in the package may
+        # steer a loop by catching BadReductionError or UnsupportedPrimeError
+        skips = {"BadReductionError", "UnsupportedPrimeError"}
+        catchers = []
+        for path in sorted(Path(reduction.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    names = {getattr(n, "id", None) or getattr(n, "attr", None)
+                             for n in ast.walk(node.type)}
+                    if names & skips:
+                        catchers.append(f"{path.stem}:{node.lineno}")
+        assert catchers == []
+
     def test_chunk_matches_scalar_finder_near_count_ceiling(self, monkeypatch):
         ai = TestOrderFinder.CURVES[3]
         *_, c4, c6, disc = _invariant_kernel(ai)
@@ -685,15 +732,15 @@ class TestLaneFinder:
         with pytest.raises(ResourceError):
             _count_chunk(TestOrderFinder.CURVES[3], [10**7 + 19])
 
-    def test_scan_chunk_unchanged_when_no_lane_is_pinned(self, monkeypatch):
-        # the scalar path alone must give the same table, bad primes and a
+    def test_chunk_unchanged_when_no_lane_is_pinned(self, monkeypatch):
+        # the scalar path alone must give the same counts, bad primes and a
         # non-minimal one included: 7 is good on this model scaled by u = 1/7
+        primes = primes_in_range(2, 9000)
         for ai in (TestOrderFinder.CURVES[3], (0, 0, 0, -12 * 7**4, -11 * 7**6)):
-            job = (ai, 12, 5, primes_in_range(2, 9000))
-            want = _scan_chunk(job)
+            want = _count_chunk(ai, primes)
             with monkeypatch.context() as m:
                 m.setattr(reduction, "_lane_round", lambda ps, *_: [None] * len(ps))
-                assert _scan_chunk(job) == want
+                assert _count_chunk(ai, primes) == want
 
     def test_empty_window_raises(self, monkeypatch):
         # a window holding only p + 1 misses |E| at an ordinary prime, so

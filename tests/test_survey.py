@@ -40,7 +40,6 @@ from ellorders.survey import (
     gcd_orders_quadratic,
     scan_anomalous,
     scan_supersingular,
-    scan_twist_dichotomy,
     verify_expected,
     verify_family,
 )
@@ -476,26 +475,39 @@ class TestScanAnomalous:
             scan_anomalous(curve(SIX_CURVE), 500, 0)
 
 
+def _twist_table(ell, N):
+    """The split/inert rule over Q(sqrt 5), for Z/ell torsion there on which
+    conjugation acts by -1, as a table mod ell over p mod N, 5 | N: 0 at
+    split p (p = +-1 mod 5), 2p + 2 at inert p.  Every class prime to N is
+    a row, even classes of an odd N included."""
+    return ExpectedTable(ell, N, {
+        s: frozenset({0 if s % 5 in (1, 4) else (2 * s + 2) % ell})
+        for s in range(N) if math.gcd(s, N) == 1})
+
+
+def _twist_check(ai, ell, X):
+    """verify_expected on _twist_table over N = lcm(5, ell): the check that
+    N_p mod ell is fixed by whether p splits in Q(sqrt 5)."""
+    exp = _twist_table(ell, math.lcm(5, ell))
+    return verify_expected(congruence_survey(curve(ai), SurveySpec(exp.m, exp.N, X)), exp)
+
+
 class TestTwistDichotomy:
     def test_ten_cycle_passes(self):
-        rep = scan_twist_dichotomy(curve(Z10_CURVE), 5, 5, 2000)
+        rep = _twist_check(Z10_CURVE, 5, 2000)
         assert rep.passed
         assert rep.total > 250
-        assert abs(float(rep.densities[("split", 0)]) - 0.5) < 0.1
+        split = sum(f for (s, t), f in rep.densities.items() if s in (1, 4) and t == 0)
+        assert abs(float(split) - 0.5) < 0.1
         assert rep.notes == ()
 
     def test_wrong_modulus_fails(self):
-        rep = scan_twist_dichotomy(curve(Z10_CURVE), 5, 7, 2000)
+        rep = _twist_check(Z10_CURVE, 7, 2000)
         assert not rep.passed
         assert rep.violations
 
-    def test_substitution_note(self):
-        rep = scan_twist_dichotomy(curve(Z10_CURVE), 5, 5, 2000, inert_modulus=10)
-        assert rep.notes
-        assert "torsion" in rep.notes[0]
-
     def test_split_primes_only_checked_against_ell(self):
-        rep = scan_twist_dichotomy(curve(Z10_CURVE), 5, 5, 1000)
+        rep = _twist_check(Z10_CURVE, 5, 1000)
         for p in rep.matched:
             n = count_points_fp(curve(Z10_CURVE), p).count
             if legendre(5 % p, p) == 1:
@@ -505,9 +517,7 @@ class TestTwistDichotomy:
 
     def test_validation(self):
         with pytest.raises(InputError):
-            scan_twist_dichotomy(curve(Z10_CURVE), 5, 5, 49)
-        with pytest.raises(InputError):
-            scan_twist_dichotomy(curve(Z10_CURVE), 5, 1, 2000)
+            _twist_check(Z10_CURVE, 5, 49)
 
 
 class TestVerifyFamily:
@@ -551,7 +561,7 @@ class TestUnfactoredDiscriminant:
         assert scan_supersingular(c, 1000) == [
             (p, ()) for p in odd if p >= 5 and counts[p] == p + 1]
         assert scan_anomalous(c, 1000) == [(p, 0) for p in odd if counts[p] % p == 0]
-        report = scan_twist_dichotomy(c, 5, 3, 1000)
+        report = _twist_check(UNFACTORED_DISC, 3, 1000)
         assert sorted(report.matched + tuple(v.p for v in report.violations)) == [
             p for p in away if p != 3]
         assert list(quadratic_walk(c, 5, 1000)) == [

@@ -464,9 +464,19 @@ class TestTorsionOverQ:
         assert [len(ps) for ps in blocks] == widths + [len(walked) - sum(widths)]
 
     def test_huge_discriminant_refused(self):
-        c = curve([0, 0, 0, 0, 999999937])
+        # B = q^2 with q = 10000019 prime: (0, +-q) has order 3, so every gcd
+        # of counts stays a multiple of 3 and only the divisor search decides
+        c = curve([0, 0, 0, 0, 10000019**2])
         with pytest.raises(ResourceError):
             torsion_over_Q(c)
+
+    def test_unfactored_discriminant_with_gcd_one_is_trivial(self):
+        # 4 + 27 B^2 = 2^4 * 66670759 * 253109473 and 27 * 999999937^2 defeat
+        # factorize, but the gcd of good odd counts reaches 1, for the first
+        # curve and its twist by 5 too
+        c = curve([0, 0, 0, 1, 100000002])
+        for e in (c, quadratic_twist(c, 5), curve([0, 0, 0, 0, 999999937])):
+            assert torsion_over_Q(e) == TorsionGroup(1, 1, ())
 
     def test_group_string_forms(self):
         assert str(TorsionGroup(1, 1, ())) == "trivial"
