@@ -13,14 +13,13 @@ import numpy as np
 
 from .errors import InputError, ResourceError
 
-# Hard ceiling for any prime enumeration.  Large enough for every survey the
-# package supports, small enough to fail fast on a runaway request.
-SCAN_CEILING = 10**8
-
-# Above this size the sieve switches to fixed-width segments so memory stays
-# bounded by the segment, not by the range.
-_SEGMENT_THRESHOLD = 10**6
-_SEGMENT_WIDTH = 1 << 20
+# Largest prime a walk sieves or a point count attempts, and so the largest
+# scan bound.  The F_p counts in reduction are O(p) in time and memory up to
+# its _LANE_FLOOR and at singular reductions; above it, the order finder's is
+# about O(p^(1/4)) group operations per draw.  Their int64 arithmetic (the
+# table and the lane finder) is exact up to here: no intermediate reaches
+# 12 p^2 < 1.2*10^15.  The sieve's mask at this end is 10 MB.
+COUNT_CEILING = 10**7
 
 # Miller-Rabin bases, deterministic below _MR_BOUND: the smallest strong
 # pseudoprime to all twelve is 318665857834031151167461 (Sorenson and
@@ -180,51 +179,27 @@ def _sqrt_mod(a: int, p: int):
     return min(r, p - r)
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for q in range(2, math.isqrt(limit) + 1):
-        if mask[q]:
-            mask[q * q :: q] = False
-    return np.flatnonzero(mask).astype(np.int64)
-
-
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p <= hi, ascending.
+    """Primes p with lo <= p <= hi, ascending, from one sieve of [0, hi].
 
-    Ranges past _SEGMENT_THRESHOLD are sieved in fixed-width segments.
-    Anything beyond SCAN_CEILING is refused rather than attempted.
+    An end above COUNT_CEILING is refused before anything is allocated.
     """
     if lo < 0 or hi < lo:
         raise InputError(f"bad prime range [{lo}, {hi}]")
-    if hi > SCAN_CEILING:
+    if hi > COUNT_CEILING:
         raise ResourceError(
-            f"prime range end {hi} exceeds the scan ceiling {SCAN_CEILING}"
-        )
+            f"scan bound {hi} exceeds the point count ceiling {COUNT_CEILING}")
     if hi < 2:
         return []
-    if hi <= _SEGMENT_THRESHOLD:
-        primes = _simple_sieve(hi)
-        return [int(p) for p in primes[primes >= lo]]
-
-    base = _simple_sieve(math.isqrt(hi))
-    out: list[int] = [int(p) for p in base[(base >= lo) & (base <= hi)]]
-    start = max(lo, int(base[-1]) + 1)
-    while start <= hi:
-        stop = min(start + _SEGMENT_WIDTH, hi + 1)
-        mask = np.ones(stop - start, dtype=bool)
-        for q in base:
-            q = int(q)
-            first = max(q * q, ((start + q - 1) // q) * q)
-            if first >= stop:
-                continue
-            mask[first - start :: q] = False
-        out.extend(int(v) for v in np.flatnonzero(mask) + start)
-        start = stop
-    return out
+    mask = np.ones(hi + 1, dtype=bool)
+    mask[:2] = False
+    for q in range(2, math.isqrt(hi) + 1):
+        if mask[q]:
+            mask[q * q :: q] = False
+    mask[:lo] = False
+    primes = np.flatnonzero(mask)
+    del mask  # 10 MB at the ceiling: gone before the list is built
+    return [int(p) for p in primes]
 
 
 def valuation(n, p: int):
@@ -276,11 +251,3 @@ def factorize(n: int) -> dict[int, int]:
                 f"composite cofactor {n} has no prime factor <= {_TRIAL_BOUND}"
             )
     return factors
-
-
-def divisors(n: int) -> list[int]:
-    """Sorted positive divisors of |n|."""
-    out = [1]
-    for q, e in factorize(n).items():
-        out = [d * q**k for d in out for k in range(e + 1)]
-    return sorted(out)

@@ -22,7 +22,8 @@ from pathlib import Path
 from .curve import curve, make_family
 from .errors import (CacheMissError, DataIntegrityError, InputError,
                      NetworkError, NotFoundError, ParseError)
-from .survey import ExpectedTable, bad_primes
+from .reduction import bad_primes
+from .survey import ExpectedTable
 
 CACHE_DIR_ENV = "ELLORDERS_CACHE_DIR"
 RESOLVER_URL_ENV = "ELLORDERS_RESOLVER_URL"

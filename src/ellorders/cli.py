@@ -30,12 +30,11 @@ from .errors import (
     ParseError,
     ResourceError,
 )
-from .reduction import _good_at, _ints, local_data, prime_walk, quadratic_walk
+from .reduction import _good_at, _ints, bad_primes, local_data, prime_walk, quadratic_walk
 from .survey import (
     SurveySpec,
     Violation,
     ScanReport,
-    bad_primes,
     check_kubert_conditions,
     congruence_survey,
     gcd_orders,

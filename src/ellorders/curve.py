@@ -33,9 +33,6 @@ class FamilyParam:
     name: str
     params: tuple
 
-    def as_dict(self) -> dict:
-        return dict(self.params)
-
 
 @dataclass(frozen=True)
 class CurveQ:
@@ -439,9 +436,6 @@ class QuadInt:
 
     def is_zero(self) -> bool:
         return self.u == 0 and self.v == 0
-
-    def is_rational(self) -> bool:
-        return self.v == 0
 
     def __str__(self):
         if self.half:

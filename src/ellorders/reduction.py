@@ -42,6 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import (
+    COUNT_CEILING,
     _euler,
     _sqrt_mod,
     factorize,
@@ -67,13 +68,6 @@ from .errors import (
     ResourceError,
     UnsupportedPrimeError,
 )
-
-# Largest prime a point count will attempt, and so the largest survey bound.
-# Up to _LANE_FLOOR, and at singular reductions, the count is O(p) in time
-# and memory; above it, the order finder's is about O(p^(1/4)) group
-# operations per draw.  The int64 arithmetic of the table and the lane
-# finder is exact up to here: no intermediate reaches 12 p^2 < 1.2*10^15.
-COUNT_CEILING = 10**7
 
 # The one table/finder boundary: the table counts every prime up to it, and
 # an order finder every good prime above it, in lane rounds where a block
@@ -1156,19 +1150,11 @@ def _count_chunk(ai, primes) -> list:
     return list(map(_checked_count, primes, out, lds))
 
 
-def _walk_primes(lo, X, keep) -> list:
-    """The primes in [lo, X] that keep accepts, once X is at most COUNT_CEILING."""
-    if X > COUNT_CEILING:
-        raise ResourceError(
-            f"scan bound {X} exceeds the point count ceiling {COUNT_CEILING}")
-    return [p for p in primes_in_range(lo, X) if keep is None or keep(p)]
-
-
 def prime_walk(c: CurveQ, lo: int, X: int, keep=None):
     """(p, N_p) on the p-minimal model at each prime in [lo, X] that keep
     accepts (every prime without it), ascending.  Blocks of _WALK_FIRST
     primes, doubling, go to _count_chunk, so an early stop counts few."""
-    ps = _walk_primes(lo, X, keep)
+    ps = [p for p in primes_in_range(lo, X) if keep is None or keep(p)]
     ai = _ints(c)
     start, width = 0, _WALK_FIRST
     while start < len(ps):
@@ -1274,8 +1260,11 @@ def count_curveK_at_prime(c: CurveK, p: int) -> list:
     Split p: two counts, the embedding using the smaller square root of d
     mod p first. Inert p: one count over F_{p^2}. Ramified p and p = 2 are
     refused, and so are primes where the model is bad at a place above p
-    (BadReductionError).  The counts are those quadratic_walk yields at p.
+    (BadReductionError) and, before anything else, p above COUNT_CEILING.
+    The counts are those quadratic_walk yields at p.
     """
+    if p > COUNT_CEILING:
+        raise ResourceError(f"point count at {p} exceeds ceiling {COUNT_CEILING}")
     sp = splitting(c.d, p)
     if p == 2:
         raise UnsupportedPrimeError("residue counts at 2 are not supported")
@@ -1305,7 +1294,7 @@ def quadratic_walk(c, d: int, X: int):
         return
     if d != c.d:
         raise InputError(f"curve lives in Q(sqrt {c.d}), not Q(sqrt {d})")
-    for p in _walk_primes(3, X, lambda p: d % p):
+    for p in (q for q in primes_in_range(3, X) if d % q):
         split = _euler(d % p, p) == 1
         for n in _place_orders(c, p, split) or ():
             yield p, split, n

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 
-from .arith import _euler, factorize, is_prime, legendre
+from .arith import _euler, factorize, is_prime, legendre, primes_in_range
 from .curve import (
     CurveK,
     CurveQ,
@@ -28,8 +28,6 @@ from .reduction import (
     _count_chunk,
     _good_at,
     _ints,
-    _walk_primes,
-    bad_primes,
     prime_walk,
 )
 from .torsion import division_value_mod, quadratic_torsion_bound
@@ -155,7 +153,7 @@ def congruence_survey(c: CurveQ, spec: SurveySpec, workers: int = 1) -> Congruen
     skip = set(spec.exclusions) | set(factorize(2 * spec.m * spec.N))
     ai = _ints(c)
     good = _good_at(ai)
-    ps = _walk_primes(2, spec.X, lambda p: p not in skip and good(p))
+    ps = [p for p in primes_in_range(2, spec.X) if p not in skip and good(p)]
     blocks = [ps[i:i + CHUNK] for i in range(0, len(ps), CHUNK)]
     if workers > 1 and len(blocks) > 1:
         # imported here: it loads multiprocessing, about 2 MB resident

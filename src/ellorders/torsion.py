@@ -25,6 +25,8 @@ from .reduction import (
     _check_field,
     _fq_field,
     _fq_pt_mul,
+    _good_at,
+    _ints,
     _mul,
     _pt_add,
     count_points_fp,
@@ -415,11 +417,11 @@ def _short_map_back(c: CurveQ, u: int):
 
 
 def _reduction_bounds(ci: CurveQ):
-    """Running gcd of N_p over the odd p <= 4000 where the integral model ci
-    is good, one value per prime."""
-    disc = int(invariants(ci).disc)
+    """Running gcd of N_p over the odd p <= 4000 where the curve is good,
+    one value per prime.  _good_at decides, as in every scan, so each model
+    of the curve walks the same primes."""
     bound = 0
-    for _, n in prime_walk(ci, 3, 4000, keep=lambda p: disc % p != 0):
+    for _, n in prime_walk(ci, 3, 4000, _good_at(_ints(ci))):
         bound = math.gcd(bound, n)
         yield bound
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellorders.arith import (
+    COUNT_CEILING,
     _strong_lucas,
-    divisors,
     factorize,
     is_prime,
     legendre,
@@ -40,14 +40,16 @@ class TestPrimes:
     def test_prime_count_to_1e5(self):
         assert len(primes_in_range(2, 10**5)) == 9592
 
-    def test_segmented_agrees_with_simple(self):
-        lo, hi = 10**6 - 1000, 10**6 + 5000
-        seg = primes_in_range(lo, hi)
-        assert seg == [p for p in _trial_division_primes(hi) if p >= lo]
+    def test_agrees_with_is_prime_up_to_the_ceiling(self):
+        # the sieve's mask is largest at the ceiling
+        for lo, hi in ((10**6 - 1000, 10**6 + 5000),
+                       (COUNT_CEILING - 3000, COUNT_CEILING)):
+            assert primes_in_range(lo, hi) == [
+                n for n in range(lo, hi + 1) if is_prime(n)]
 
     def test_ceiling_refused(self):
-        with pytest.raises(ResourceError):
-            primes_in_range(2, 10**8 + 1)
+        with pytest.raises(ResourceError, match="ceiling"):
+            primes_in_range(2, COUNT_CEILING + 1)
 
     def test_bad_range(self):
         with pytest.raises(InputError):
@@ -188,9 +190,6 @@ class TestFactorize:
     def test_large_prime_cofactor_kept(self):
         q = 10**9 + 7
         assert factorize(12 * q) == {2: 2, 3: 1, q: 1}
-
-    def test_divisors(self):
-        assert divisors(28) == [1, 2, 4, 7, 14, 28]
 
     @given(st.integers(min_value=1, max_value=10**9))
     @settings(max_examples=100)

@@ -30,7 +30,7 @@ from ellorders.errors import (
     ParseError,
     SingularModelError,
 )
-from ellorders.survey import bad_primes
+from ellorders.reduction import bad_primes
 from ellorders.torsion import torsion_over_Q
 
 

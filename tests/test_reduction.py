@@ -340,6 +340,14 @@ class TestCurveKCounts:
             assert walked == {}
             assert len(skipped) < 10
 
+    def test_inert_prime_above_the_ceiling_refused(self):
+        # an inert p is counted over F_{p^2}, outside _count_chunk; it is
+        # refused like the split places and the F_p counts are
+        p = 10000079
+        assert p > reduction.COUNT_CEILING and legendre(33, p) == -1
+        with pytest.raises(ResourceError, match="ceiling"):
+            count_curveK_at_prime(everywhere_good_33(), p)
+
     def test_rational_model_agrees_with_quadratic_count(self):
         cq = curve([0, 0, 0, -12, -11])
         ck = curve_K([0, 0, 0, -12, -11], 33)
@@ -704,6 +712,29 @@ class TestLaneFinder:
                     if names & skips:
                         catchers.append(f"{path.stem}:{node.lineno}")
         assert catchers == []
+
+    def test_imports_name_the_defining_module(self):
+        # every `from .m import name` in the package names something m
+        # itself defines at module level, not a name m re-exports
+        package = Path(reduction.__file__).parent
+        trees = {path.stem: ast.parse(path.read_text(), str(path))
+                 for path in sorted(package.glob("*.py"))}
+        defined = {}
+        for stem, tree in trees.items():
+            names = defined[stem] = set()
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names.add(node.name)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names.update(n.id for t in targets for n in ast.walk(t)
+                                 if isinstance(n, ast.Name))
+        misses = [f"{stem}:{node.lineno} {alias.name} from {node.module}"
+                  for stem, tree in trees.items() for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 1
+                  for alias in node.names
+                  if alias.name not in defined[node.module]]
+        assert misses == []
 
     def test_chunk_matches_scalar_finder_near_count_ceiling(self, monkeypatch):
         ai = TestOrderFinder.CURVES[3]

@@ -25,14 +25,13 @@ from ellorders.curve import (
     quadratic_twist,
 )
 from ellorders.errors import DataIntegrityError, InputError, ResourceError
-from ellorders.reduction import COUNT_CEILING, count_points_fp, quadratic_walk
+from ellorders.reduction import COUNT_CEILING, bad_primes, count_points_fp, quadratic_walk
 from ellorders.survey import (
     CongruenceTable,
     ExpectedTable,
     ScanReport,
     SurveySpec,
     Violation,
-    bad_primes,
     check_kubert_conditions,
     congruence_survey,
     empirical_density,

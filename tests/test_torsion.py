@@ -584,6 +584,15 @@ class TestModelIndependence:
         for pt in tors.generators:
             assert _on_input_model(moved, pt)
 
+    def test_cross_check_walk_is_the_same_on_scaled_models(self):
+        # u = 1/3 and 1/5 put 3 and 5 into the model's discriminant, but the
+        # curve is good there, so the walk must still count them
+        c = curve([1, -1, 1, -199, 510])
+        bounds = list(torsion._reduction_bounds(c))
+        assert len(bounds) == 548
+        for u in (Fraction(1, 3), Fraction(1, 5)):
+            assert list(torsion._reduction_bounds(transformed(c, u=u))) == bounds
+
 
 def _brute_roots(A, c, reach=60):
     return [x for x in range(-reach, reach + 1) if x**3 + A * x + c == 0]
