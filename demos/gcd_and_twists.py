@@ -1,7 +1,7 @@
 """The gcd-of-orders story: over Q it never exceeds 4, over quadratic
 fields it can be larger, and twisting pairs counts to 2p + 2."""
 
-from ellorders.curve import curve, everywhere_good_33, everywhere_good_6, kubert5
+from ellorders.curve import curve, everywhere_good_33, everywhere_good_6
 from ellorders.reduction import count_points_fp, twist_count_identity_check
 from ellorders.survey import gcd_orders, gcd_orders_quadratic
 

@@ -88,12 +88,6 @@ class CongruenceTable:
         }
         return json.dumps(data, indent=2, sort_keys=True)
 
-    def as_csv(self) -> str:
-        lines = ["p_class,count_class,primes"]
-        for s, t, n in self.cells():
-            lines.append(f"{s},{t},{n}")
-        return "\n".join(lines) + "\n"
-
     def as_markdown(self) -> str:
         head = f"| p mod {self.N} | counts mod {self.m} | primes |"
         rule = "|---:|---|---:|"
@@ -134,7 +128,6 @@ class ScanReport:
     violations: tuple
     densities: dict  # (s, t) -> Fraction
     total: int
-    notes: tuple = ()
 
     def __post_init__(self):
         if self.passed != (not self.violations):

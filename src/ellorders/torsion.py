@@ -6,8 +6,8 @@ model of a curve gives the same search; its integer roots are found in
 exact integer arithmetic.  The result is cross-checked against a gcd of
 good reduction counts from the prime walk.
 Over a quadratic field only the odd part is computed exactly (through the
-twist decomposition); the even part is bounded, and the growth catalogs say
-which structures are possible at all.
+twist decomposition); the even part is bounded.  MAZUR_STRUCTURES is
+torsion_over_Q's postcondition and the stop rule of its cross-check walk.
 """
 
 from __future__ import annotations
@@ -33,33 +33,6 @@ from .reduction import (
     prime_walk,
     quadratic_walk,
 )
-
-# ---------------------------------------------------------------------------
-# admissible torsion orders by field degree
-
-S1 = frozenset({2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 16})
-S2 = frozenset({2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 18, 20, 24})
-S3 = frozenset({2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 18, 20, 21, 24, 28})
-
-
-@dataclass(frozen=True)
-class TorsionCatalog:
-    S1: frozenset
-    S2: frozenset
-    S3: frozenset
-
-
-TORSION_CATALOG = TorsionCatalog(S1, S2, S3)
-
-
-def admissible(m: int, degree: int) -> bool:
-    """Membership of m in the admissible-order set for the field degree."""
-    if degree not in (1, 2, 3):
-        raise InputError(f"degree must be 1, 2 or 3, got {degree}")
-    if m < 2:
-        raise InputError(f"admissible orders start at 2, got {m}")
-    return m in (S1, S2, S3)[degree - 1]
-
 
 # the fifteen rational structures, as (n1, n2) with n1 | n2
 MAZUR_STRUCTURES = tuple(
@@ -88,12 +61,6 @@ QUADRATIC_GROWTH = {
     (2, 6): frozenset({(2, 6), (2, 12)}),
     (2, 8): frozenset({(2, 8)}),
 }
-
-
-def quadratic_growth_options(structure: tuple) -> frozenset:
-    if structure not in QUADRATIC_GROWTH:
-        raise InputError(f"{structure} is not a rational torsion structure")
-    return QUADRATIC_GROWTH[structure]
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +465,6 @@ def torsion_over_Q(c: CurveQ) -> TorsionGroup:
 
     back = _short_map_back(c, u)
     return TorsionGroup(n1, n2, tuple(back(pt) for pt in gens))
-
-
-def torsion_order(c: CurveQ) -> int:
-    return torsion_over_Q(c).order
 
 
 def _odd_part(n: int) -> int:

@@ -19,7 +19,6 @@ coefficients turns it red until it asserts the stated claim again.
 import math
 import random
 import time
-from fractions import Fraction
 
 from ellorders.arith import legendre, primes_in_range, sqrt_mod
 from ellorders.catalog import as_curve, bundled_corpus, resolve_label

@@ -13,7 +13,6 @@ import pytest
 from ellorders.catalog import (
     CacheEntry,
     CurveRecord,
-    Expectations,
     as_curve,
     bundled_corpus,
     parse_curve,

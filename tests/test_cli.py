@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from ellorders.cli import corpus_verify, main
+from ellorders.cli import main
 
 
 @pytest.fixture()
@@ -204,6 +204,14 @@ class TestScanCommands:
         found = {r["p"]: r["residue"] for r in data["primes"]}
         assert all(r == 1 for p, r in found.items() if p >= 11)
 
+    @pytest.mark.parametrize("command", ["supersingular", "anomalous"])
+    def test_zero_mod_is_a_usage_error(self, runner, command):
+        # --mod 0 reaches the scan, which refuses it as it refuses -3
+        res = invoke(runner, command, "--curve", "[0,0,0,-1,0]",
+                     "--max-prime", "100", "--mod", "0")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+
     def test_family_verification_passes(self, runner):
         res = invoke(runner, "family", "--family", "family5", "--t", "2,3,7",
                      "--max-prime", "500")
@@ -270,12 +278,6 @@ class TestResolveCommand:
 
 
 class TestScanCeiling:
-    def test_env_ceiling_blocks_large_scan(self, runner, monkeypatch):
-        monkeypatch.setenv("ELLORDERS_SCAN_CEILING", "500")
-        res = invoke(runner, "gcd", "--curve", "[1,-1,1,-199,510]",
-                     "--max-prime", "1000")
-        assert res.exit_code == 3
-
     def test_survey_above_count_ceiling_exits_at_once(self, runner):
         t0 = time.perf_counter()
         res = invoke(runner, "survey", "--curve", "[0,0,0,-12,-11]", "--mod", "10",
@@ -292,12 +294,6 @@ class TestScanCeiling:
         assert "ceiling" in res.stderr
         assert time.perf_counter() - t0 < 1.0
 
-    def test_under_ceiling_still_runs(self, runner, monkeypatch):
-        monkeypatch.setenv("ELLORDERS_SCAN_CEILING", "5000")
-        res = invoke(runner, "gcd", "--curve", "[1,-1,1,-199,510]",
-                     "--max-prime", "1000")
-        assert res.exit_code == 0
-
 
 class TestCorpusVerify:
     def test_smoke_run_under_a_second(self, runner):
@@ -308,13 +304,6 @@ class TestCorpusVerify:
         assert res.exit_code == 0
         assert "all 24 rows verified" in res.output
         assert elapsed < 1.0
-
-    def test_aggregate_report_shape(self):
-        report = corpus_verify(100, offline=True)
-        assert report.passed
-        assert len(report.notes) == 24
-        assert report.total > 0
-        assert not report.violations
 
     def test_json_lists_every_label(self, runner):
         res = invoke(runner, "corpus-verify", "--max-prime", "100",
@@ -374,9 +363,8 @@ class TestCsvOutput:
     def test_rows_as_wide_as_their_header(self, runner, args):
         res = invoke(runner, *args, "--format", "csv")
         assert res.exit_code in (0, 1), res.output
-        # a blank line separates the tables of one report
-        for block in res.output.strip("\n").split("\n\n"):
-            header, *rows = csv.reader(io.StringIO(block))
-            assert rows
-            for row in rows:
-                assert len(row) == len(header), row
+        # one table: a header, then rows as wide as it
+        header, *rows = csv.reader(io.StringIO(res.output))
+        assert rows
+        for row in rows:
+            assert len(row) == len(header), row

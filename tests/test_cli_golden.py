@@ -14,7 +14,9 @@ To re-record the fixture after an intended output change, run
 and say in the change log why the bytes moved.
 """
 
+import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -22,7 +24,7 @@ import pytest
 from click.testing import CliRunner
 
 from ellorders.catalog import CACHE_DIR_ENV
-from ellorders.cli import SCAN_CEILING_ENV, main
+from ellorders.cli import main
 
 FIXTURE = Path(__file__).parent / "data" / "cli_golden.json"
 # a user cache whose 150b3 holds 150c3's coefficients, so that corpus-verify
@@ -113,16 +115,26 @@ def test_fixture_covers_every_case():
 
 @pytest.mark.parametrize("case,args", CASES, ids=[case for case, _ in CASES])
 def test_stdout_bytes_match_fixture(case, args, monkeypatch):
-    monkeypatch.delenv(SCAN_CEILING_ENV, raising=False)
     monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
     recorded = json.loads(FIXTURE.read_text())[case]
     assert _run(args) == recorded, " ".join(args)
 
 
+CSV_CASES = [(case, args) for case, args in CASES if case.endswith("-csv")]
+
+
+@pytest.mark.parametrize("case,args", CSV_CASES, ids=[case for case, _ in CSV_CASES])
+def test_csv_is_one_table(case, args, monkeypatch):
+    # one header, then rows as wide as it: no prose, no second table
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    res = CliRunner().invoke(main, args)
+    header, *rows = csv.reader(io.StringIO(res.stdout))
+    assert [len(row) for row in rows] == [len(header)] * len(rows), res.stdout
+
+
 if __name__ == "__main__":
     import os
 
-    os.environ.pop(SCAN_CEILING_ENV, None)
     os.environ.pop(CACHE_DIR_ENV, None)
     FIXTURE.parent.mkdir(exist_ok=True)
     out = {case: _run(args) for case, args in CASES}

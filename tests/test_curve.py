@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellorders.curve import (
-    CurveQ,
     QuadInt,
     curve,
     curve_K,

@@ -736,6 +736,41 @@ class TestLaneFinder:
                   if alias.name not in defined[node.module]]
         assert misses == []
 
+    def test_every_imported_name_is_read(self):
+        # each name an import binds in the package, the tests and the demos
+        # is read in that file; the __future__ import binds no name
+        root = Path(__file__).resolve().parents[1]
+        unread = []
+        for folder in ("src/ellorders", "tests", "demos"):
+            for path in sorted((root / folder).glob("*.py")):
+                tree = ast.parse(path.read_text(), str(path))
+                read = {n.id for n in ast.walk(tree)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                unread += [f"{folder}/{path.name}:{node.lineno} {name}"
+                           for node in ast.walk(tree)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))
+                           and getattr(node, "module", None) != "__future__"
+                           for alias in node.names
+                           for name in [alias.asname or alias.name.split(".")[0]]
+                           if name not in read]
+        assert unread == []
+
+    def test_environment_is_read_only_for_deployment_settings(self):
+        # the cache directory and the resolver URL are the only settings
+        # taken from the environment, and only catalog reads it
+        package = Path(reduction.__file__).parent
+        knobs, readers = set(), set()
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                        and node.value.startswith("ELLORDERS_")):
+                    knobs.add(node.value)
+                if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                        and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                    readers.add(path.name)
+        assert knobs == {"ELLORDERS_CACHE_DIR", "ELLORDERS_RESOLVER_URL"}
+        assert readers == {"catalog.py"}
+
     def test_chunk_matches_scalar_finder_near_count_ceiling(self, monkeypatch):
         ai = TestOrderFinder.CURVES[3]
         *_, c4, c6, disc = _invariant_kernel(ai)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellorders import reduction
-from ellorders.arith import is_prime, legendre, primes_in_range, sqrt_mod
+from ellorders.arith import legendre, primes_in_range, sqrt_mod
 from ellorders.curve import (
     _invariant_kernel,
     curve,
@@ -27,7 +27,6 @@ from ellorders.curve import (
 from ellorders.errors import DataIntegrityError, InputError, ResourceError
 from ellorders.reduction import COUNT_CEILING, bad_primes, count_points_fp, quadratic_walk
 from ellorders.survey import (
-    CongruenceTable,
     ExpectedTable,
     ScanReport,
     SurveySpec,
@@ -498,7 +497,6 @@ class TestTwistDichotomy:
         assert rep.total > 250
         split = sum(f for (s, t), f in rep.densities.items() if s in (1, 4) and t == 0)
         assert abs(float(split) - 0.5) < 0.1
-        assert rep.notes == ()
 
     def test_wrong_modulus_fails(self):
         rep = _twist_check(Z10_CURVE, 7, 2000)
@@ -645,12 +643,6 @@ class TestRenderers:
         assert data["total"] == t.total
         assert sum(r["primes"] for r in data["rows"]) == t.total
         assert data["curve"] == [str(a) for a in t.ainvs]
-
-    def test_csv_shape(self):
-        t = _twelve_twenty_table(X=2000)
-        lines = t.as_csv().strip().splitlines()
-        assert lines[0] == "p_class,count_class,primes"
-        assert len(lines) == 1 + sum(1 for _ in t.cells())
 
     def test_markdown_layout(self):
         t = _twelve_twenty_table(X=2000)

@@ -21,23 +21,15 @@ from ellorders.reduction import _fq_pt_mul, count_points_fp
 from ellorders.torsion import (
     MAZUR_STRUCTURES,
     QUADRATIC_GROWTH,
-    S1,
-    S2,
-    S3,
-    TORSION_CATALOG,
-    DivisionPolynomial,
     TorsionGroup,
-    admissible,
     division_polynomial,
     division_value_mod,
     ec_add,
     ec_mul,
     odd_torsion_over_quadratic,
     point_order,
-    quadratic_growth_options,
     quadratic_torsion_bound,
     torsion_over_Q,
-    torsion_order,
 )
 from ellorders.torsion import _integer_cubic_roots
 
@@ -80,41 +72,6 @@ def _some_affine_point(c, p, rng):
 
 
 class TestCatalogs:
-    def test_degree_one_set(self):
-        assert S1 == frozenset({2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 16})
-
-    def test_degree_two_set(self):
-        assert S2 == frozenset(
-            {2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 18, 20, 24}
-        )
-
-    def test_degree_three_set(self):
-        assert S3 == frozenset(
-            {2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 18, 20, 21, 24, 28}
-        )
-
-    def test_catalog_bundle(self):
-        assert TORSION_CATALOG.S1 is S1
-        assert TORSION_CATALOG.S2 is S2
-        assert TORSION_CATALOG.S3 is S3
-
-    def test_admissible_samples(self):
-        assert admissible(16, 1)
-        assert not admissible(11, 1)
-        assert admissible(24, 2)
-        assert admissible(28, 3)
-        assert not admissible(16, 3)
-
-    def test_admissible_rejects_bad_degree(self):
-        with pytest.raises(InputError):
-            admissible(4, 4)
-        with pytest.raises(InputError):
-            admissible(4, 0)
-
-    def test_admissible_rejects_small_order(self):
-        with pytest.raises(InputError):
-            admissible(1, 1)
-
     def test_mazur_list(self):
         assert len(MAZUR_STRUCTURES) == 15
         for n1, n2 in MAZUR_STRUCTURES:
@@ -129,15 +86,12 @@ class TestCatalogs:
             assert struct in options
 
     def test_growth_orders_stay_admissible(self):
+        # the torsion orders possible over a quadratic field
+        orders = set(range(1, 17)) | {18, 20, 24}
         for options in QUADRATIC_GROWTH.values():
             for h1, h2 in options:
                 assert h2 % h1 == 0
-                order = h1 * h2
-                assert order == 1 or admissible(order, 2)
-
-    def test_growth_options_rejects_non_structures(self):
-        with pytest.raises(InputError):
-            quadratic_growth_options((3, 5))
+                assert h1 * h2 in orders
 
 
 class TestDivisionPolynomials:
@@ -397,14 +351,14 @@ class TestTorsionOverQ:
             assert t.structure in MAZUR_STRUCTURES
 
     def test_torsion_order_shortcut(self):
-        assert torsion_order(curve([1, -1, 1, -199, 510])) == 4
-        assert torsion_order(kubert5(1)) == 5
+        assert torsion_over_Q(curve([1, -1, 1, -199, 510])).order == 4
+        assert torsion_over_Q(kubert5(1)).order == 5
 
     def test_injection_into_good_fibres(self):
         for ai in ([1, 1, 0, -700, 34000], [1, -1, 1, -199, 510],
                    [1, -1, 0, -1773, -5720], [0, 1, 0, -333, -3537]):
             c = curve(ai)
-            order = torsion_order(c)
+            order = torsion_over_Q(c).order
             disc = int(invariants(integral_model(c)).disc)
             for p in primes_in_range(3, 1000):
                 if disc % p == 0:
@@ -545,7 +499,7 @@ class TestQuadraticTorsion:
         for c, d in cases:
             base = torsion_over_Q(c).structure
             bound = quadratic_torsion_bound(c, d, 2000)
-            options = quadratic_growth_options(base)
+            options = QUADRATIC_GROWTH[base]
             assert any(bound % (h1 * h2) == 0 for h1, h2 in options)
 
 
