@@ -6,6 +6,7 @@ The package is organised bottom-up:
 - curve: Weierstrass models over Q, invariants, twists, families, and
   curves over real and imaginary quadratic fields
 - reduction: Kodaira types, point counts mod p and over extensions
+- walk: prime walks, through one store of Frobenius traces per twist class
 - torsion: division polynomials, rational and quadratic torsion
 - survey: congruence-class statistics of point counts, gcd scans
 - catalog: the bundled curve corpus and the label resolver

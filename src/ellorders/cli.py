@@ -30,7 +30,7 @@ from .errors import (
     ParseError,
     ResourceError,
 )
-from .reduction import _good_at, _ints, bad_primes, local_data, prime_walk, quadratic_walk
+from .reduction import _good_at, _ints, bad_primes, local_data
 from .survey import (
     SurveySpec,
     Violation,
@@ -50,6 +50,7 @@ from .torsion import (
     quadratic_torsion_bound,
     torsion_over_Q,
 )
+from .walk import prime_walk, quadratic_walk
 from .arith import _euler
 
 # --d on the command line maps onto whatever the family calls its parameter
@@ -349,6 +350,8 @@ def twist(c, fmt, d, max_prime):
 @click.option("--class-mod", "n", type=int, required=True,
               help="prime-class modulus")
 @click.option("--max-prime", default=1000, show_default=True)
+# worker processes, at most one per block of CHUNK = 2048 primes, so a
+# survey to about 17,900 runs serially
 @click.option("--threads", default=1, show_default=True)
 def survey(c, fmt, m, n, max_prime, threads):
     """Bucket point-count residues against prime classes."""

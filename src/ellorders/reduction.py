@@ -13,8 +13,11 @@ of Hasse window numbers that annihilate it, and their intersection pins |E|.
 Every F_p count goes through _count_chunk, which alone picks the method by
 one rule: the table, the oracle, counts every prime up to the lane floor and
 every bad prime, and an order finder every good prime above it.  A single
-count is a block of one prime, and prime_walk hands it blocks of a prime
-range.  Above the floor a block's good primes run at once as int64 numpy
+count is a block of one prime.  walk.prime_walk and congruence_survey hand
+it blocks of a prime range through walk's store of Frobenius traces per
+twist class, which reads the traces the class already holds and passes on
+only the other primes; single counts and curves over Q(sqrt d) never touch
+the store.  Above the floor a block's good primes run at once as int64 numpy
 lanes (one draw per lane and round, Jacobian coordinates reduced only after
 products, one batched inversion per lane), in rounds of at least _LANE_MIN
 lanes; a lane a round leaves unpinned rides in a later batch of its block.
@@ -48,7 +51,6 @@ from .arith import (
     factorize,
     is_prime,
     legendre,
-    primes_in_range,
     valuation,
 )
 from .curve import (
@@ -105,11 +107,6 @@ CHUNK = 2048  # primes per survey job, and per prime-walk block at most
 # (1.7-3.6 ms at 256), so 8 lanes cost 160-260 us a prime and 32 lanes
 # 40-75 us, where a scalar count there takes 45-125 us (same box).
 _LANE_MIN = 32
-
-# A prime walk's first block; later ones double up to CHUNK.  torsion_over_Q
-# checks its stop every 8 primes, and gcd_orders and quadratic_torsion_bound
-# mostly stop within a few, so a small first block counts little past a stop.
-_WALK_FIRST = 8
 
 # Enumeration bound for the quadratic-field residue degree two oracle.
 FP2_DIRECT_CEILING = 200
@@ -1150,19 +1147,6 @@ def _count_chunk(ai, primes) -> list:
     return list(map(_checked_count, primes, out, lds))
 
 
-def prime_walk(c: CurveQ, lo: int, X: int, keep=None):
-    """(p, N_p) on the p-minimal model at each prime in [lo, X] that keep
-    accepts (every prime without it), ascending.  Blocks of _WALK_FIRST
-    primes, doubling, go to _count_chunk, so an early stop counts few."""
-    ps = [p for p in primes_in_range(lo, X) if keep is None or keep(p)]
-    ai = _ints(c)
-    start, width = 0, _WALK_FIRST
-    while start < len(ps):
-        block = ps[start:start + width]
-        yield from zip(block, _count_chunk(ai, block))
-        start, width = start + width, min(2 * width, CHUNK)
-
-
 def _fq_finder_count(c46, p, r, rng):
     """|E(F_{p^2})| for the good curve with these c4, c6, or None."""
     (c4u, c4v), (c6u, c6v) = c46
@@ -1274,27 +1258,3 @@ def count_curveK_at_prime(c: CurveK, p: int) -> list:
     if counts is None:
         raise BadReductionError(f"bad reduction above {p} ({sp.kind.value})")
     return counts
-
-
-def quadratic_walk(c, d: int, X: int):
-    """(p, split, |E(O_K/P)|) at each place P of K = Q(sqrt d) above an odd
-    prime p <= X unramified in K, ascending in p, from one prime walk.
-
-    A rational curve yields one triple per good p: both places above a
-    split p have the order N_p.  A curve over K itself (d must be its own)
-    yields one triple per place, the split places in count_curveK_at_prime's
-    order, and skips each p where its model is bad at some place above p.
-    """
-    if not isinstance(c, CurveK):
-        _check_field(d)
-        good = _good_at(_ints(c))
-        for p, n in prime_walk(c, 3, X, lambda p: d % p and good(p)):
-            split = _euler(d % p, p) == 1
-            yield p, split, _residue_order(n, p, split)
-        return
-    if d != c.d:
-        raise InputError(f"curve lives in Q(sqrt {c.d}), not Q(sqrt {d})")
-    for p in (q for q in primes_in_range(3, X) if d % q):
-        split = _euler(d % p, p) == 1
-        for n in _place_orders(c, p, split) or ():
-            yield p, split, n

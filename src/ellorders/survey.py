@@ -1,18 +1,21 @@
 """Prime-range scans: congruence tables, densities, gcd of orders, families.
 
 Every scan walks its primes in ascending order and folds or buckets one
-stream of counts.  congruence_survey counts its primes in fixed blocks of
-CHUNK through reduction._count_chunk, serially or one block per pool job;
-the other scans of a rational curve count through reduction.prime_walk, and
-gcd_orders_quadratic folds reduction.quadratic_walk.  Reports list
-violations with the exact primes involved.  Scans are pure.
+stream of counts.  congruence_survey cuts its primes into fixed blocks of
+CHUNK and counts them through walk._stored_counts: the traces the curve's
+twist class has stored are read in this process, and the other primes go to
+reduction._count_chunk, serially or one block per pool job, with their
+traces stored here.  The other scans of a rational curve count through
+walk.prime_walk, which reads the same store, and gcd_orders_quadratic folds
+walk.quadratic_walk.  Reports list violations with the exact primes
+involved.  Scans are pure: the store only caches counts.
 """
 
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 
 from .arith import _euler, factorize, is_prime, legendre, primes_in_range
 from .curve import (
@@ -28,9 +31,9 @@ from .reduction import (
     _count_chunk,
     _good_at,
     _ints,
-    prime_walk,
 )
 from .torsion import division_value_mod, quadratic_torsion_bound
+from .walk import _stored_counts, prime_walk
 
 
 @dataclass(frozen=True)
@@ -139,8 +142,10 @@ def congruence_survey(c: CurveQ, spec: SurveySpec, workers: int = 1) -> Congruen
 
     Excluded primes: the bad ones, divisors of 2 m N, and anything the
     spec adds on top.  The primes are counted in fixed blocks of CHUNK,
-    serially or one block per pool job, and bucketed in one ascending
-    stream, so the table is identical for every worker count.  A bound
+    serially or one block per pool job, through the trace store, and
+    bucketed in one ascending stream, so the table is identical for every
+    worker count.  The pool has at most one process per block, so a survey
+    of at most CHUNK primes (X up to about 17,900) runs serially.  A bound
     above COUNT_CEILING is refused before any prime is sieved or counted.
     """
     skip = set(spec.exclusions) | set(factorize(2 * spec.m * spec.N))
@@ -152,10 +157,11 @@ def congruence_survey(c: CurveQ, spec: SurveySpec, workers: int = 1) -> Congruen
         # imported here: it loads multiprocessing, about 2 MB resident
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(_count_chunk, repeat(ai), blocks))
+        # a fork pool starts all its processes at the first job
+        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+            counts = list(_stored_counts(ai, blocks, pool.map))
     else:
-        counts = map(_count_chunk, repeat(ai), blocks)
+        counts = _stored_counts(ai, blocks)
     rows = {}
     cells = {}
     for p, n in zip(ps, chain.from_iterable(counts)):

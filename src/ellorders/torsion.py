@@ -30,9 +30,8 @@ from .reduction import (
     _mul,
     _pt_add,
     count_points_fp,
-    prime_walk,
-    quadratic_walk,
 )
+from .walk import prime_walk, quadratic_walk
 
 # the fifteen rational structures, as (n1, n2) with n1 | n2
 MAZUR_STRUCTURES = tuple(

@@ -69,6 +69,34 @@ class TestSurveyCommand:
         assert one.exit_code == four.exit_code == 0
         assert one.output == four.output
 
+    def test_pool_has_at_most_one_process_per_block(self, runner, monkeypatch):
+        # a fork pool starts all max_workers processes at the first job, so
+        # 64 threads for the 5 blocks of 2048 primes to 10^5 must ask for 5;
+        # the recording executor maps in this process and starts none
+        import concurrent.futures
+
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        args = ["survey", "--curve", "[1,1,0,-700,34000]", "--mod", "10",
+                "--class-mod", "5", "--max-prime", "100000", "--format", "json"]
+        pooled = invoke(runner, *args, "--threads", "64")
+        assert pooled.exit_code == 0
+        assert sizes == [5]
+        assert pooled.output == invoke(runner, *args).output
+
     def test_repeat_invocations_byte_identical(self, runner):
         args = ["survey", "--curve", "[0,0,0,-12,-11]", "--mod", "12",
                 "--class-mod", "20", "--max-prime", "1000", "--format", "csv"]

@@ -54,11 +54,11 @@ from ellorders.reduction import (
     count_fp2_direct,
     count_points_fp,
     local_data,
-    quadratic_walk,
     smooth_locus_order,
     splitting,
     twist_count_identity_check,
 )
+from ellorders.walk import quadratic_walk
 from ellorders.survey import gcd_orders_quadratic
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellorders import reduction
+from ellorders import reduction, walk
 from ellorders.arith import legendre, primes_in_range, sqrt_mod
 from ellorders.curve import (
     _invariant_kernel,
@@ -25,7 +25,8 @@ from ellorders.curve import (
     quadratic_twist,
 )
 from ellorders.errors import DataIntegrityError, InputError, ResourceError
-from ellorders.reduction import COUNT_CEILING, bad_primes, count_points_fp, quadratic_walk
+from ellorders.reduction import COUNT_CEILING, bad_primes, count_points_fp
+from ellorders.walk import quadratic_walk
 from ellorders.survey import (
     ExpectedTable,
     ScanReport,
@@ -152,7 +153,19 @@ class TestCongruenceSurvey:
         assert not scanned & {2, 3, 5}
 
     def test_parallel_determinism(self):
-        assert _twelve_twenty_table(X=5000) == _twelve_twenty_table(X=5000, workers=3)
+        # 2262 primes to 2*10^4: two blocks of CHUNK, so workers=3 runs a
+        # pool of two processes, and this process stores the same traces
+        def stored():
+            return [(c4, c6, ps.tolist(), aps.tolist())
+                    for c4, c6, ps, aps in walk._TRACES.values()]
+
+        serial = _twelve_twenty_table(X=20000)
+        serial_store = stored()
+        walk._TRACES.clear()
+        pooled = _twelve_twenty_table(X=20000, workers=3)
+        assert pooled.total > reduction.CHUNK
+        assert pooled == serial
+        assert stored() == serial_store
 
     def test_non_minimal_model_gives_the_same_table(self):
         # scaled by u = 1/7, so 7 divides the model's discriminant, yet the
@@ -336,7 +349,7 @@ class TestGcdOrders:
             counted.extend(primes)
             return real(ai, primes)
 
-        monkeypatch.setattr(reduction, "_count_chunk", spy)
+        monkeypatch.setattr(walk, "_count_chunk", spy)
         assert gcd_orders(kubert5(1), 10**4) == 1
         assert 0 < len(counted) <= 64
 

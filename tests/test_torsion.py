@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellorders import reduction, torsion
+from ellorders import reduction, torsion, walk
 from ellorders.arith import legendre, primes_in_range, sqrt_mod
 from ellorders.curve import (
     curve,
@@ -382,10 +382,10 @@ class TestTorsionOverQ:
 
     @staticmethod
     def _counted(monkeypatch):
-        """Spy on reduction._count_chunk: the primes of every block counted."""
+        """Spy on the walks' _count_chunk: the primes of every block counted."""
         blocks = []
         real = reduction._count_chunk
-        monkeypatch.setattr(reduction, "_count_chunk",
+        monkeypatch.setattr(walk, "_count_chunk",
                             lambda ai, ps: blocks.append(list(ps)) or real(ai, ps))
         return blocks
 
@@ -412,7 +412,7 @@ class TestTorsionOverQ:
 
     def test_prime_walk_blocks_double_from_eight(self, monkeypatch):
         blocks = self._counted(monkeypatch)
-        walked = list(reduction.prime_walk(curve([0, 0, 1, -1, 0]), 2, 50000))
+        walked = list(walk.prime_walk(curve([0, 0, 1, -1, 0]), 2, 50000))
         widths = [8 << k for k in range(9)]
         assert widths[-1] == reduction.CHUNK
         assert [len(ps) for ps in blocks] == widths + [len(walked) - sum(widths)]
