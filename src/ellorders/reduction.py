@@ -9,6 +9,9 @@ small p; above the lane floor, and over F_{p^2} from p = 11 on, a
 Shanks-Mestre order finder counts good reductions in about O(q^(1/4)) group
 operations.  It never computes a point order: each drawn point gives the set
 of Hasse window numbers that annihilate it, and their intersection pins |E|.
+An inert F_{p^2} order whose j lies in F_p needs no finder: E is then a
+quadratic twist of a curve over F_p, and one F_p count of that curve gives
+it.
 
 Every F_p count goes through _count_chunk, which alone picks the method by
 one rule: the table, the oracle, counts every prime up to the lane floor and
@@ -689,6 +692,9 @@ def _fq_pt_mul(k, pt, ai, p, r):
 # ---------------------------------------------------------------------------
 # Shanks-Mestre order finding over F_q, q = p or p^2 (Cohen, GTM 138, 7.4.3).
 # A group law here is add(P, Q) on affine points with None for the identity.
+# Over F_{p^2} the finder is _fq_group_order's second way: an order whose j
+# lies in F_p is one F_p count first, the finder takes the rest from p = 11
+# on, and the character sum _fq_enumerate what the finder leaves.
 
 
 def _mul(k, pt, add):
@@ -1192,14 +1198,32 @@ def _fq_enumerate(b246, p, r):
 
 
 def _fq_group_order(ai, p, r, b246, c46):
-    """|E(F_{p^2})| by the order finder for p >= 11, else by enumeration.
+    """|E(F_{p^2})|: by one F_p count where j is in F_p, else by the order
+    finder for p >= 11, else by enumeration.  The one place that picks how
+    an F_{p^2} order is made.
 
     ai, b246 and c46 are the model's a-invariants, (b2, b4, b6) and
-    (c4, c6) in F_{p^2}; ai seeds the draws.  From p = 11 on, q = p^2 > 49,
-    where the orders on E and its quadratic twist always pin |E|, the
-    supersingular groups (Z/(p -+ 1))^2 included.  If the draws run out,
-    the character sum decides.
+    (c4, c6) in F_{p^2}; ai seeds the draws.  For p > 3 and c4 c6 != 0,
+    t = c4^3 / c6^2 lies in F_p exactly when j = 1728 t / (t - 1) does, and
+    then E is the twist by c6 / c4 of E0: y^2 = x^3 - 27 t x - 54 t over
+    F_p, good since t != 0, 1 (Silverman, AEC X.5).  So |E| is
+    m0 = |E0(F_{p^2})| = N_p(E0) (2p + 2 - N_p(E0)) when c4 c6 is a square
+    of F_{p^2}, that is when its norm is a square mod p, and 2p^2 + 2 - m0
+    when not.  The rest (j outside F_p, j = 0 or 1728, p = 3) goes to the
+    finder from p = 11 on, where q = p^2 > 49 and the orders on E and its
+    quadratic twist always pin |E|, the supersingular groups (Z/(p -+ 1))^2
+    included.  If the draws run out, or p < 11, the character sum decides.
     """
+    c4, c6 = c46
+    if p > 3 and c4 != (0, 0) and c6 != (0, 0):
+        _, _, mul, inv, _ = _fq_field(p, r)
+        t, tv = mul(mul(c4, c4), mul(c4, inv(mul(c6, c6))))
+        if tv == 0:
+            [n] = _count_chunk((0, 0, 0, -27 * t % p, -54 * t % p), [p])
+            m0 = _residue_order(n, p, False)
+            if _euler(_fq_norm(c4, p, r) * _fq_norm(c6, p, r), p) == 1:
+                return m0
+            return 2 * p * p + 2 - m0
     if p >= 11:
         rng = _finder_rng(p, (u for a in ai for u in a))
         n = _fq_finder_count(c46, p, r, rng)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellorders import reduction
@@ -43,6 +43,7 @@ from ellorders.reduction import (
     _fq_field,
     _fq_finder_count,
     _fq_group_order,
+    _fq_norm,
     _lane_round,
     _order_finder,
     _pt_add,
@@ -429,6 +430,33 @@ class TestCurveKCounts:
         # the group is (Z/(p-1))^2, the hardest case for order finding
         assert count_curveK_at_prime(everywhere_good_6(), 223) == [222 * 222]
 
+    @given(st.integers(-30, 30), st.integers(-30, 30), st.sampled_from([5, 6, 33]),
+           st.integers(-4, 4), st.integers(-4, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_twist_by_delta_follows_its_norm(self, a4, a6, d, u, v):
+        # E: y^2 = x^3 + a4 x + a6 over Q and its twist (a4 delta^2,
+        # a6 delta^3) over K: at an inert p not dividing N(delta), the
+        # twist's order is E's m0 = |E(F_{p^2})| when delta is a square of
+        # F_{p^2}, i.e. when N(delta) is a square mod p, and 2p^2 + 2 - m0
+        # when not.  |disc| / 16 = |4 a4^3 + 27 a6^2| < 3^12, so E is minimal
+        # at every odd p and its base change (delta = 1) walks exactly the
+        # rational primes.
+        assume(4 * a4**3 + 27 * a6**2 != 0 and (u, v) != (0, 0))
+        X = 150
+        E = curve([0, 0, 0, a4, a6])
+        rational = list(quadratic_walk(E, d, X))
+        base = list(quadratic_walk(curve_K(E.ainvs, d), d, X))
+        assert base == [t for t in rational for _ in range(1 + t[1])]
+        m0 = {p: n for p, split, n in rational if not split}
+        delta = QuadInt(u, v, d)
+        twisted = curve_K([0, 0, 0, a4 * delta**2, a6 * delta**3], d)
+        got = {p: n for p, split, n in quadratic_walk(twisted, d, X) if not split}
+        nd = delta.norm()
+        assert got.keys() == {p for p in m0 if nd % p}
+        for p, n in got.items():
+            want = m0[p] if legendre(nd, p) == 1 else 2 * p * p + 2 - m0[p]
+            assert n == want, (a4, a6, d, u, v, p)
+
     def test_ramified_and_two_refused(self):
         with pytest.raises(UnsupportedPrimeError):
             count_curveK_at_prime(everywhere_good_33(), 3)
@@ -444,6 +472,25 @@ def _reduce_quad(p):
         return ((u * inv2) % p, (v * inv2) % p)
 
     return red
+
+
+def _inert_args(ck, p):
+    """_fq_group_order's arguments for ck at an inert p, as _place_orders
+    builds them."""
+    inv, red = invariants_K(ck), _reduce_quad(p)
+    b246 = (red(inv.b2), red(inv.b4), red(inv.b6))
+    return (tuple(red(a) for a in ck.ainvs), p, ck.d % p, b246,
+            (red(inv.c4), red(inv.c6)))
+
+
+def _j_in_fp(c46, p, r):
+    """None when c4 c6 = 0 in F_{p^2}, else whether t = c4^3 / c6^2, and
+    with it j = 1728 t / (t - 1), lies in F_p."""
+    c4, c6 = c46
+    if (0, 0) in (c4, c6):
+        return None
+    _, _, mul, inv, _ = _fq_field(p, r)
+    return mul(mul(c4, c4), mul(c4, inv(mul(c6, c6))))[1] == 0
 
 
 class TestOrderFinder:
@@ -523,18 +570,83 @@ class TestOrderFinder:
         ai = self.CURVES[3]
         p = primes_in_range(reduction._LANE_FLOOR + 1, 10**5)[0]
         want = _count_model_mod_p(ai, p)
-        ck = everywhere_good_6()
-        inv, q, red = invariants_K(ck), 229, _reduce_quad(229)
-        assert splitting(6, q).kind is SplitKind.INERT
-        b246 = (red(inv.b2), red(inv.b4), red(inv.b6))
-        args = (tuple(red(a) for a in ck.ainvs), q, 6, b246,
-                (red(inv.c4), red(inv.c6)))
-        want_q = _fq_enumerate(b246, q, 6)
+        # j of y^2 = x^3 + (1 + sqrt 33) x + 1 is not in F_241, so its order
+        # is the finder's, and with no draws the character sum's
+        ck, q = curve_K([0, 0, 0, QuadInt(1, 1, 33), 1], 33), 241
+        assert splitting(33, q).kind is SplitKind.INERT
+        args = _inert_args(ck, q)
+        assert _j_in_fp(args[4], q, args[2]) is False
+        want_q = _fq_enumerate(args[3], q, args[2])
         monkeypatch.setattr(reduction, "_FINDER_DRAWS", 0)
         _, _, _, _, c4, c6, _ = _invariant_kernel(ai)
         assert _fp_finder_count(c4, c6, p, _finder_rng(p, ai)) is None
         assert _count_chunk(ai, [p]) == [want]
         assert _fq_group_order(*args) == want_q
+
+    def test_rational_j_rule_matches_enumeration(self, monkeypatch):
+        # both built-in curves have rational j: at every inert 5 <= p <= 250
+        # with c4 c6 != 0 mod P, one F_p count gives the character sum's
+        # order, and both square classes of c4 c6 occur; at p = 7 c4 c6 = 0
+        # mod P for both, and enumeration decides
+        def refuse(*args):
+            raise AssertionError("the j in F_p rule should decide")
+
+        for ck in (everywhere_good_33(), everywhere_good_6()):
+            classes = Counter()
+            for p in primes_in_range(5, 250):
+                if splitting(ck.d, p).kind is not SplitKind.INERT:
+                    continue
+                args = _inert_args(ck, p)
+                _, _, r, b246, (c4, c6) = args
+                want = _fq_enumerate(b246, p, r)
+                in_fp = _j_in_fp((c4, c6), p, r)
+                if in_fp is None:
+                    assert p == 7
+                    assert _fq_group_order(*args) == want
+                    continue
+                assert in_fp, (ck.d, p)
+                with monkeypatch.context() as m:
+                    m.setattr(reduction, "_fq_finder_count", refuse)
+                    m.setattr(reduction, "_fq_enumerate", refuse)
+                    assert _fq_group_order(*args) == want, (ck.d, p)
+                classes[legendre(_fq_norm(c4, p, r) * _fq_norm(c6, p, r), p)] += 1
+            assert classes[1] >= 10 and classes[-1] >= 10, (ck.d, classes)
+
+    def test_rule_fallbacks_match_the_oracle(self, monkeypatch):
+        # where the rule does not apply it counts nothing over F_p, and the
+        # finder (p >= 11) or enumeration gives the character sum's order:
+        # j outside F_p, j = 0 and j = 1728 over Q(sqrt 33), and p = 3,
+        # inert in Q(sqrt 5), where t = c4^3 / c6^2 = b2^6 / b2^6 = 1 would
+        # make E0 singular
+        E = curve([1, 0, 0, 0, 1])
+        assert count_curveK_at_prime(curve_K(E.ainvs, 5), 3) == [
+            count_extension(count_points_fp(E, 3), n=2).count]
+        counted = []
+        monkeypatch.setattr(reduction, "_count_chunk",
+                            lambda *args: counted.append(args))
+        s33 = QuadInt(1, 1, 33)
+        cases = ((curve_K([0, 0, 0, s33, 1], 33), False),
+                 (curve_K([0, 0, 0, 0, s33], 33), None),
+                 (curve_K([0, 0, 0, s33, 0], 33), None))
+        checked = 0
+        for ck, in_fp in cases:
+            disc = invariants_K(ck).disc
+            for p in primes_in_range(5, 120):
+                if splitting(33, p).kind is not SplitKind.INERT or disc.norm() % p == 0:
+                    continue
+                args = _inert_args(ck, p)
+                _, _, r, b246, c46 = args
+                assert _j_in_fp(c46, p, r) is in_fp, (ck, p)
+                assert _fq_group_order(*args) == _fq_enumerate(b246, p, r), (ck, p)
+                checked += 1
+        phi = QuadInt(1, 1, 5, half=True)
+        for ck in (curve_K(E.ainvs, 5), curve_K([1, 0, 0, phi, 1], 5)):
+            assert invariants_K(ck).disc.norm() % 3
+            _, _, r, b246, c46 = args = _inert_args(ck, 3)
+            assert _j_in_fp(c46, 3, r) is True
+            assert _fq_group_order(*args) == _fq_enumerate(b246, 3, r)
+            checked += 1
+        assert counted == [] and checked > 40
 
     def test_window_without_annihilator_raises(self):
         # a point of order 1000 drawn at q = 1150, whose Hasse window
@@ -678,9 +790,10 @@ class TestLaneFinder:
     def test_count_chunk_alone_names_the_count_methods(self):
         # a second place that picks how an F_p count is made would have to
         # name the table, the scalar finder or a lane round; the package
-        # source names them only in their definitions and in _count_chunk
-        kernels = {"_count_model_mod_p", "_fp_finder_count", "_lane_round"}
-        users = set()
+        # source names them only in their definitions and in _count_chunk.
+        # Likewise over F_{p^2}: _fq_group_order alone names the finder, and
+        # the character sum only it and the count_fp2_direct oracle
+        users = {}
 
         def visit(node, where):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -688,8 +801,8 @@ class TestLaneFinder:
             names = {getattr(node, "id", None), getattr(node, "attr", None)}
             if isinstance(node, ast.ImportFrom):
                 names |= {alias.name for alias in node.names}
-            if names & kernels:
-                users.add(where)
+            for name in names - {None}:
+                users.setdefault(name, set()).add(where)
             for child in ast.iter_child_nodes(node):
                 visit(child, where)
 
@@ -697,7 +810,11 @@ class TestLaneFinder:
         assert len(sources) > 5
         for path in sources:
             visit(ast.parse(path.read_text(), str(path)), path.stem)
-        assert users == {"reduction._count_chunk"}
+        for kernel in ("_count_model_mod_p", "_fp_finder_count", "_lane_round"):
+            assert users[kernel] == {"reduction._count_chunk"}, kernel
+        assert users["_fq_finder_count"] == {"reduction._fq_group_order"}
+        assert users["_fq_enumerate"] == {"reduction._fq_group_order",
+                                          "reduction.count_fp2_direct"}
 
     def test_no_function_catches_a_skip_error(self):
         # scans skip primes by predicate: no handler in the package may
