@@ -2,36 +2,29 @@
 
 Three ways a curve enters the package: typed coefficients (parse_curve),
 the corpus shipped with the package (bundled_corpus), or a Cremona-style
-label resolved against a curve database (resolve_label).  Resolution
-prefers a local cache; the repository ships a pre-warmed cache for every
-labeled survey row so the whole test suite runs offline.
+label looked up in a cache of curve files (resolve_label).  Resolution
+reads the user's cache directory, then the cache bundled with the package,
+which holds every labeled survey row; it never touches the network.  A
+cache file is outside input, checked like any other.
 """
 
 import json
 import os
 import re
-import tempfile
-import threading
-import time
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from .curve import curve, make_family
-from .errors import (CacheMissError, DataIntegrityError, InputError,
-                     NetworkError, NotFoundError, ParseError)
+from .errors import CacheMissError, DataIntegrityError, InputError, ParseError
 from .reduction import bad_primes
 from .survey import ExpectedTable
 
 CACHE_DIR_ENV = "ELLORDERS_CACHE_DIR"
-RESOLVER_URL_ENV = "ELLORDERS_RESOLVER_URL"
-DEFAULT_ENDPOINT = "https://www.lmfdb.org/api/ec_curvedata/?Clabel={label}&_format=json"
-DEFAULT_TIMEOUT = 10.0
-DEFAULT_RETRIES = 3
 
-_LABEL_RE = re.compile(r"^(\d+)([a-z]+)(\d+)$")
+# conductor, an optional dot (the LMFDB form "50.a3"), class letters, index
+_LABEL_RE = re.compile(r"^(\d+)(\.?)([a-z]+\d+)$")
 _ENTRY_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
@@ -74,7 +67,7 @@ class CurveRecord:
 
 @dataclass(frozen=True)
 class CacheEntry:
-    """One resolved label as stored on disk; immutable once written."""
+    """One cache file, <label>.json: its label, ainvs, fetched_at and source."""
 
     label: str
     ainvs: tuple  # 5 strings, exact integer or p/q text
@@ -280,30 +273,18 @@ def as_curve(record):
 
 # --- label resolution ----------------------------------------------------
 
-_LOCKS = {}
-_LOCKS_GUARD = threading.Lock()
-
-
-def _label_lock(label):
-    with _LOCKS_GUARD:
-        return _LOCKS.setdefault(label, threading.Lock())
-
-
 def _normalize_label(label):
     if not isinstance(label, str):
         raise ParseError("label must be a string", position=0)
     text = label.strip().lower()
-    note = None
-    if "." in text:
-        # best-effort shim for dotted LMFDB-style labels such as "50.a3"
-        shimmed = text.replace(".", "")
-        note = f"normalized from {text!r}"
-        text = shimmed
     m = _LABEL_RE.match(text)
     if not m:
         bad = next((k for k, ch in enumerate(text) if not ch.isalnum()), 0)
         raise ParseError(f"not a curve label: {label!r}", position=bad)
-    return text, m.group(1), note
+    conductor, dot, rest = m.groups()
+    # shim for dotted LMFDB-style labels such as "50.a3"
+    note = f"normalized from {text!r}" if dot else None
+    return conductor + rest, conductor, note
 
 
 def _user_cache_dir(cache_dir):
@@ -315,12 +296,14 @@ def _user_cache_dir(cache_dir):
     return Path.home() / ".cache" / "ellorders"
 
 
-def _entry_from_json(label, text):
+def _entry_from_json(label, raw):
+    # raw is bytes: json.loads decodes it, so bad UTF-8 is a ValueError too
     try:
-        data = json.loads(text)
+        data = json.loads(raw)
     except ValueError as exc:
         raise DataIntegrityError(f"cache entry for {label} is not JSON: {exc}")
-    if not isinstance(data, dict) or set(data) < {"label", "ainvs", "fetched_at", "source"}:
+    fields = {"label", "ainvs", "fetched_at", "source"}
+    if not isinstance(data, dict) or not fields <= set(data):
         raise DataIntegrityError(f"cache entry for {label} is missing fields")
     if data["label"] != label:
         raise DataIntegrityError(
@@ -335,75 +318,13 @@ def _entry_from_json(label, text):
 def _cache_lookup(label, cache_dir):
     path = _user_cache_dir(cache_dir) / f"{label}.json"
     if path.is_file():
-        return _entry_from_json(label, path.read_text())
+        return _entry_from_json(label, path.read_bytes())
     bundled = resources.files("ellorders") / "data" / "curve_cache" / f"{label}.json"
     try:
-        text = bundled.read_text()
+        raw = bundled.read_bytes()
     except (FileNotFoundError, OSError):
         return None
-    return _entry_from_json(label, text)
-
-
-def _cache_write(entry, cache_dir):
-    root = _user_cache_dir(cache_dir)
-    root.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps({"label": entry.label, "ainvs": list(entry.ainvs),
-                          "fetched_at": entry.fetched_at, "source": entry.source},
-                         indent=2)
-    fd, tmp = tempfile.mkstemp(dir=root, prefix=entry.label, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload + "\n")
-        os.replace(tmp, root / f"{entry.label}.json")
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def _default_fetcher(label, endpoint, timeout, retries):
-    # imported here, not with the module: urllib.request loads ssl, http
-    # and email, about 7 MB of resident memory that offline work never uses
-    import urllib.error
-    import urllib.request
-
-    url = endpoint.format(label=label)
-    last = None
-    for attempt in range(retries):
-        try:
-            with urllib.request.urlopen(url, timeout=timeout) as resp:
-                payload = json.loads(resp.read().decode("utf-8"))
-            ainvs = _extract_ainvs(payload)
-            if ainvs is None:
-                raise NotFoundError(f"no coefficient data for label {label}")
-            return ainvs, url
-        except urllib.error.HTTPError as exc:
-            if exc.code == 404:
-                raise NotFoundError(f"label {label} not in the database") from exc
-            last = exc
-        except (urllib.error.URLError, OSError, ValueError) as exc:
-            last = exc
-        time.sleep(0.5 * 2**attempt)
-    raise NetworkError(f"could not fetch {label} after {retries} attempts: {last}")
-
-
-def _extract_ainvs(payload):
-    # accept {"ainvs": [...]} at any depth, or a bare 5-element list
-    stack = [payload]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, dict):
-            found = node.get("ainvs")
-            if isinstance(found, (list, tuple)) and len(found) == 5:
-                return [str(v) for v in found]
-            stack.extend(node.values())
-        elif isinstance(node, (list, tuple)):
-            if len(node) == 5 and all(isinstance(v, (int, str)) for v in node):
-                return [str(v) for v in node]
-            stack.extend(node)
-    return None
+    return _entry_from_json(label, raw)
 
 
 def _validated_record(entry, conductor_part, note):
@@ -424,35 +345,20 @@ def _validated_record(entry, conductor_part, note):
                        expected=expected, notes=notes)
 
 
-def resolve_label(label, offline=False, *, cache_dir=None, endpoint=None,
-                  timeout=DEFAULT_TIMEOUT, retries=DEFAULT_RETRIES, fetcher=None):
-    """Resolve a Cremona-style label to a CurveRecord.
+def resolve_label(label, offline=False, *, cache_dir=None):
+    """Resolve a Cremona-style label to a CurveRecord from the caches.
 
-    Cache first (user directory, then the bundled fixtures); on a miss,
-    offline mode raises CacheMissError with instructions and online mode
-    fetches from the configured database endpoint, validates, and caches.
-    The resolved curve's bad primes must divide the label's conductor part.
+    Reads the user cache directory (cache_dir, else $ELLORDERS_CACHE_DIR,
+    else ~/.cache/ellorders), then the bundled cache; a label in neither
+    raises CacheMissError.  Nothing is fetched or written, so offline is
+    accepted and ignored.  The resolved curve's bad primes must divide the
+    label's conductor part.
     """
     norm, conductor_part, note = _normalize_label(label)
-    with _label_lock(norm):
-        entry = _cache_lookup(norm, cache_dir)
-        if entry is None:
-            if offline:
-                raise CacheMissError(
-                    f"label {norm} is not cached; rerun without offline mode to "
-                    f"fetch it, or point {CACHE_DIR_ENV} at a directory "
-                    f"containing {norm}.json")
-            if fetcher is not None:
-                ainvs, source = fetcher(norm)
-            else:
-                resolved_endpoint = (endpoint or os.environ.get(RESOLVER_URL_ENV)
-                                     or DEFAULT_ENDPOINT)
-                ainvs, source = _default_fetcher(norm, resolved_endpoint,
-                                                 timeout, retries)
-            entry = CacheEntry(label=norm, ainvs=tuple(str(a) for a in ainvs),
-                               fetched_at=datetime.now(timezone.utc).isoformat(),
-                               source=str(source))
-            record = _validated_record(entry, conductor_part, note)
-            _cache_write(entry, cache_dir)
-            return record
-        return _validated_record(entry, conductor_part, note)
+    entry = _cache_lookup(norm, cache_dir)
+    if entry is None:
+        raise CacheMissError(
+            f"label {norm} is not cached; to add it, write {norm}.json into "
+            f"{_user_cache_dir(cache_dir)}: a JSON object with the fields "
+            f"label, ainvs (5 coefficients), fetched_at and source")
+    return _validated_record(entry, conductor_part, note)

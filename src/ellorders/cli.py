@@ -4,7 +4,9 @@ One subcommand per operation.  Every report goes to stdout, through _emit,
 as md (the default), csv or json; diagnostics go to stderr.  CSV output is
 one RFC 4180-quoted table, so a field with a comma or a quote reads back
 whole.  Exit codes follow the package convention: 0 success, 1 a
-verification found violations, 2 usage, 3 resource or network trouble.
+verification found violations, 2 usage, 3 a resource ceiling or a label
+missing from every cache.  --offline is accepted and ignored: label
+resolution reads only caches.
 Reports depend only on the flags, so identical invocations give identical
 bytes.
 """
@@ -22,14 +24,7 @@ import click
 
 from .catalog import as_curve, bundled_corpus, parse_curve, render_curve, resolve_label
 from .curve import make_family, quadratic_twist
-from .errors import (
-    DataIntegrityError,
-    InputError,
-    NetworkError,
-    NotFoundError,
-    ParseError,
-    ResourceError,
-)
+from .errors import DataIntegrityError, InputError, ParseError, ResourceError
 from .reduction import _good_at, _ints, bad_primes, local_data
 from .survey import (
     SurveySpec,
@@ -87,14 +82,14 @@ def _parse_params(text: str) -> list:
     return [_parse_value(part) for part in text.split(",")]
 
 
-def _load_curve(curve_text, label, family, t, offline, cache_dir):
+def _load_curve(curve_text, label, family, t, cache_dir):
     picked = [x for x in (curve_text, label, family) if x is not None]
     if len(picked) != 1:
         raise click.UsageError("give exactly one of --curve, --label, --family")
     if curve_text is not None:
         return parse_curve(curve_text)
     if label is not None:
-        return as_curve(resolve_label(label, offline=offline, cache_dir=cache_dir))
+        return as_curve(resolve_label(label, cache_dir=cache_dir))
     if t is None:
         raise click.UsageError(f"--family {family} needs --t")
     params = _parse_params(t)
@@ -184,7 +179,7 @@ def guarded(fn):
         except InputError as exc:
             click.echo(f"error: {exc}", err=True)
             code = 2
-        except (ResourceError, NetworkError, NotFoundError) as exc:
+        except ResourceError as exc:
             click.echo(f"error: {exc}", err=True)
             code = 3
         except DataIntegrityError as exc:
@@ -206,7 +201,7 @@ def _curve_command(fn):
 
     @functools.wraps(fn)
     def wrapper(curve_text, label, family, t, offline, cache_dir, **kwargs):
-        c = _load_curve(curve_text, label, family, t, offline, cache_dir)
+        c = _load_curve(curve_text, label, family, t, cache_dir)
         return fn(c, **kwargs)
 
     cmd = _format_option(guarded(wrapper))
@@ -492,7 +487,7 @@ def kubert_check(fmt, curve_text, t, p):
 @guarded
 def resolve(fmt, label, offline, cache_dir):
     """Resolve a curve label to coefficients via the cache or resolver."""
-    rec = resolve_label(label, offline=offline, cache_dir=cache_dir)
+    rec = resolve_label(label, cache_dir=cache_dir)
     pairs = [("label", rec.label), ("curve", render_curve(as_curve(rec))),
              ("source", rec.source)]
     pairs.extend(("note", note) for note in rec.notes)
@@ -505,12 +500,12 @@ def resolve(fmt, label, offline, cache_dir):
 _CORPUS_BOUND_PRIME = 300
 
 
-def _corpus_rows(X, offline, cache_dir, threads):
+def _corpus_rows(X, cache_dir, threads):
     out = []
     for rec in bundled_corpus():
         if not rec.needs_resolution:
             continue
-        resolved = resolve_label(rec.label, offline=offline, cache_dir=cache_dir)
+        resolved = resolve_label(rec.label, cache_dir=cache_dir)
         c = as_curve(resolved)
         exp = rec.expected
         table = congruence_survey(
@@ -566,7 +561,7 @@ def _corpus_rows(X, offline, cache_dir, threads):
 @guarded
 def corpus_verify_cmd(fmt, max_prime, offline, cache_dir, threads):
     """Verify every bundled survey row and its torsion columns."""
-    rows = _corpus_rows(max_prime, offline, cache_dir, threads)
+    rows = _corpus_rows(max_prime, cache_dir, threads)
     headers = ("label", "torsion Q", "torsion K", "d", "primes", "rows",
                "torsion")
     shown = [

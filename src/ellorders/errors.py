@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: InputError and ParseError become usage
-errors (2), ResourceError and NetworkError become resource errors (3), and
-everything else that signals a failed verification exits 1.
+errors (2), ResourceError (a ceiling, or a label missing from every cache)
+becomes a resource error (3), and DataIntegrityError, a failed cross-check
+or a malformed cache file, exits 1.
 """
 
 
@@ -35,15 +36,7 @@ class ResourceError(RuntimeError):
 
 
 class CacheMissError(ResourceError):
-    """Offline mode was requested but the label is not in the local cache."""
-
-
-class NetworkError(RuntimeError):
-    """A retriable failure while talking to the curve database."""
-
-
-class NotFoundError(LookupError):
-    """The curve database has no entry for the requested label."""
+    """A label is in neither the user cache nor the bundled cache."""
 
 
 class DataIntegrityError(RuntimeError):

@@ -3,8 +3,6 @@ import os
 import re
 import subprocess
 import sys
-import threading
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,8 +22,6 @@ from ellorders.errors import (
     CacheMissError,
     DataIntegrityError,
     InputError,
-    NetworkError,
-    NotFoundError,
     ParseError,
     SingularModelError,
 )
@@ -190,6 +186,15 @@ class TestLabelSyntax:
     def test_case_insensitive(self):
         assert resolve_label("17A1", offline=True).label == "17a1"
 
+    @pytest.mark.parametrize("label, dot", [
+        ("1.4a1", 1), (".14a1", 0), ("14a1.", 4), ("14.a.1", 2), ("1.4.a.1", 1),
+    ])
+    def test_dot_only_after_the_conductor(self, label, dot):
+        # each of these names 14a1 once every dot is dropped
+        with pytest.raises(ParseError) as exc:
+            resolve_label(label, offline=True)
+        assert exc.value.position == dot
+
 
 class TestOfflineResolution:
     def test_50a3_has_three_torsion(self):
@@ -226,7 +231,7 @@ class TestOfflineResolution:
             conductor = int(re.match(r"\d+", stub.label).group())
             assert all(conductor % p == 0 for p in bad_primes(c)), stub.label
 
-    def test_offline_work_never_imports_urllib_request(self):
+    def test_offline_work_never_imports_urllib_request(self, tmp_path):
         # urllib.request loads ssl, http and email: about 7 MB resident;
         # the process pool of a parallel survey loads multiprocessing, 2 MB
         code = (
@@ -234,6 +239,13 @@ class TestOfflineResolution:
             "from ellorders import cli\n"
             "from ellorders.catalog import resolve_label\n"
             "resolve_label('150b3', offline=True)\n"
+            "from ellorders.errors import CacheMissError\n"
+            "try:\n"
+            "    resolve_label('9999z9', cache_dir=sys.argv[1])\n"
+            "except CacheMissError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('a miss resolved')\n"
             "loaded = [m for m in ('urllib.request', 'ssl', 'http.client',\n"
             "                      'concurrent.futures.process', 'multiprocessing')\n"
             "          if m in sys.modules]\n"
@@ -243,38 +255,17 @@ class TestOfflineResolution:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        res = subprocess.run([sys.executable, "-c", code], env=env,
+        res = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                              capture_output=True, text=True, timeout=120)
         assert res.returncode == 0, res.stderr
 
 
 class TestCacheBehavior:
     @staticmethod
-    def _fake_fetcher(vector, counter, delay=0.0):
-        def fetch(label):
-            counter.append(label)
-            if delay:
-                time.sleep(delay)
-            return [str(v) for v in vector], "fake://test"
-        return fetch
-
-    def test_online_fetch_writes_cache(self, tmp_path):
-        calls = []
-        fetch = self._fake_fetcher([0, 0, 1, -1, 0], calls)
-        rec = resolve_label("37a1", offline=False, cache_dir=tmp_path, fetcher=fetch)
-        assert calls == ["37a1"]
-        assert rec.a_invariants == (0, 0, 1, -1, 0)
-        data = json.loads((tmp_path / "37a1.json").read_text())
-        assert set(data) == {"label", "ainvs", "fetched_at", "source"}
-        assert data["ainvs"] == ["0", "0", "1", "-1", "0"]
-
-    def test_warm_cache_means_zero_network(self, tmp_path):
-        calls = []
-        fetch = self._fake_fetcher([0, 0, 1, -1, 0], calls)
-        first = resolve_label("37a1", cache_dir=tmp_path, fetcher=fetch)
-        second = resolve_label("37a1", cache_dir=tmp_path, fetcher=fetch)
-        assert len(calls) == 1
-        assert first == second
+    def _write_entry(root, label, ainvs):
+        (root / f"{label}.json").write_text(json.dumps(
+            {"label": label, "ainvs": [str(a) for a in ainvs],
+             "fetched_at": "2024-01-01T00:00:00+00:00", "source": "hand"}))
 
     def test_bundled_cache_needs_no_fetcher(self, tmp_path):
         # empty user cache falls back to the bundled fixtures
@@ -294,57 +285,21 @@ class TestCacheBehavior:
 
     def test_support_validation_rejects_foreign_curve(self, tmp_path):
         # bad primes {2,3,5} cannot come from conductor 11
-        calls = []
-        fetch = self._fake_fetcher([0, 0, 0, -12, -11], calls)
+        self._write_entry(tmp_path, "11a1", [0, 0, 0, -12, -11])
         with pytest.raises(DataIntegrityError):
-            resolve_label("11a1", cache_dir=tmp_path, fetcher=fetch)
-        assert not (tmp_path / "11a1.json").exists()
+            resolve_label("11a1", cache_dir=tmp_path)
 
     def test_offline_miss_has_instructions(self, tmp_path):
         with pytest.raises(CacheMissError) as exc:
             resolve_label("9999z9", offline=True, cache_dir=tmp_path)
-        assert "9999z9" in str(exc.value)
-
-    def test_fetcher_errors_propagate(self, tmp_path):
-        def not_found(label):
-            raise NotFoundError(label)
-
-        def flaky(label):
-            raise NetworkError("down")
-
-        with pytest.raises(NotFoundError):
-            resolve_label("9999z9", cache_dir=tmp_path, fetcher=not_found)
-        with pytest.raises(NetworkError):
-            resolve_label("9999z9", cache_dir=tmp_path, fetcher=flaky)
-
-    def test_no_temp_droppings(self, tmp_path):
-        calls = []
-        fetch = self._fake_fetcher([0, 0, 1, -1, 0], calls)
-        resolve_label("37a1", cache_dir=tmp_path, fetcher=fetch)
-        assert [p.name for p in tmp_path.iterdir()] == ["37a1.json"]
-
-    def test_same_label_resolution_serialized(self, tmp_path):
-        calls = []
-        fetch = self._fake_fetcher([0, 0, 1, -1, 0], calls, delay=0.05)
-        results = []
-
-        def work():
-            results.append(resolve_label("37a1", cache_dir=tmp_path, fetcher=fetch))
-
-        threads = [threading.Thread(target=work) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(calls) == 1
-        assert all(r == results[0] for r in results)
+        assert "9999z9.json" in str(exc.value)
+        assert str(tmp_path) in str(exc.value)
 
     def test_env_var_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ELLORDERS_CACHE_DIR", str(tmp_path))
-        calls = []
-        fetch = self._fake_fetcher([0, 0, 1, -1, 0], calls)
-        resolve_label("37a1", fetcher=fetch)
-        assert (tmp_path / "37a1.json").exists()
+        self._write_entry(tmp_path, "37a1", [0, 0, 1, -1, 0])
+        rec = resolve_label("37a1")
+        assert rec.a_invariants == (0, 0, 1, -1, 0)
 
     def test_cache_entry_is_frozen(self):
         entry = CacheEntry("17a1", ("1", "-1", "1", "-1", "-14"), "t", "s")

@@ -172,9 +172,29 @@ class TestCurveLoading:
         assert "Z/4" in res.output
 
     def test_offline_miss_exit_code(self, runner, tmp_path):
-        res = invoke(runner, "resolve", "--label", "9999z9", "--offline",
+        # resolution reads only caches, so --offline changes nothing
+        for flags in (["--offline"], []):
+            start = time.perf_counter()
+            res = invoke(runner, "resolve", "--label", "9999z9", *flags,
+                         "--cache-dir", str(tmp_path))
+            assert res.exit_code == 3, flags
+            assert time.perf_counter() - start < 2.0, flags
+            assert "9999z9.json" in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("raw", [
+        # an extra key beside a missing field
+        json.dumps({"label": "17a1", "ainvs": ["1", "-1", "1", "-1", "-14"],
+                    "note": "x"}).encode(),
+        b'{"label": "17a1\xff"}',  # not UTF-8
+    ], ids=["missing-field", "bad-utf8"])
+    def test_malformed_user_cache_file_exits_1(self, runner, tmp_path, raw):
+        (tmp_path / "17a1.json").write_bytes(raw)
+        res = invoke(runner, "resolve", "--label", "17a1",
                      "--cache-dir", str(tmp_path))
-        assert res.exit_code == 3
+        assert isinstance(res.exception, SystemExit)
+        assert res.exit_code == 1
+        assert res.stderr.startswith("error: cache entry for 17a1")
 
     def test_rational_family_parameter(self, runner):
         res = invoke(runner, "count", "--family", "kkp", "--t", "1/2",

@@ -873,8 +873,8 @@ class TestLaneFinder:
         assert unread == []
 
     def test_environment_is_read_only_for_deployment_settings(self):
-        # the cache directory and the resolver URL are the only settings
-        # taken from the environment, and only catalog reads it
+        # the cache directory is the only setting taken from the
+        # environment, and only catalog reads it
         package = Path(reduction.__file__).parent
         knobs, readers = set(), set()
         for path in sorted(package.glob("*.py")):
@@ -885,7 +885,7 @@ class TestLaneFinder:
                 if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
                         and isinstance(node.value, ast.Name) and node.value.id == "os"):
                     readers.add(path.name)
-        assert knobs == {"ELLORDERS_CACHE_DIR", "ELLORDERS_RESOLVER_URL"}
+        assert knobs == {"ELLORDERS_CACHE_DIR"}
         assert readers == {"catalog.py"}
 
     def test_chunk_matches_scalar_finder_near_count_ceiling(self, monkeypatch):
