@@ -196,6 +196,10 @@ def _format_option(fn):
                         help="output format")(fn)
 
 
+_OFFLINE_HELP = ("accepted and ignored: labels resolve from the user cache, "
+                 "then the bundled cache")
+
+
 def _curve_command(fn):
     """The curve options, --format and guarded; fn gets the loaded curve c."""
 
@@ -212,7 +216,7 @@ def _curve_command(fn):
                        type=click.Choice(sorted(_FAMILY_PARAM)),
                        help="parametrized family name")(cmd)
     cmd = click.option("--t", default=None, help="family parameter")(cmd)
-    cmd = click.option("--offline", is_flag=True, help="never touch the network")(cmd)
+    cmd = click.option("--offline", is_flag=True, help=_OFFLINE_HELP)(cmd)
     return click.option("--cache-dir", default=None, type=click.Path(),
                         help="curve cache directory")(cmd)
 
@@ -482,11 +486,12 @@ def kubert_check(fmt, curve_text, t, p):
 @main.command()
 @_format_option
 @click.option("--label", required=True)
-@click.option("--offline", is_flag=True, help="never touch the network")
+@click.option("--offline", is_flag=True, help=_OFFLINE_HELP)
 @click.option("--cache-dir", default=None, type=click.Path())
 @guarded
 def resolve(fmt, label, offline, cache_dir):
-    """Resolve a curve label to coefficients via the cache or resolver."""
+    """Resolve a curve label to coefficients from the user cache, then the
+    bundled cache."""
     rec = resolve_label(label, cache_dir=cache_dir)
     pairs = [("label", rec.label), ("curve", render_curve(as_curve(rec))),
              ("source", rec.source)]
@@ -555,7 +560,7 @@ def _corpus_rows(X, cache_dir, threads):
 @main.command(name="corpus-verify")
 @_format_option
 @click.option("--max-prime", default=10000, show_default=True)
-@click.option("--offline", is_flag=True, help="never touch the network")
+@click.option("--offline", is_flag=True, help=_OFFLINE_HELP)
 @click.option("--cache-dir", default=None, type=click.Path())
 @click.option("--threads", default=1, show_default=True)
 @guarded

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .arith import factorize
 from .errors import DataIntegrityError, InputError, SingularModelError
@@ -443,6 +444,15 @@ class QuadInt:
         return f"{self.u}{self.v:+}*sqrt({self.d})"
 
 
+class RationalTwist(NamedTuple):
+    """A curve over Q(sqrt d) with j in Q \\ {0, 1728} as a twist of a
+    rational curve: CurveK._rational_twist."""
+
+    e0: tuple  # E0's integral a-invariants
+    c4c6: QuadInt
+    m: int  # at a p prime to m, E0's count gives every place above p
+
+
 @dataclass(frozen=True)
 class CurveK:
     """Long Weierstrass model with coefficients in the ring of integers of
@@ -465,6 +475,31 @@ class CurveK:
     def _invariants(self) -> InvariantsK:
         # computed once per curve: scans over many primes ask for it at each
         return InvariantsK(*_invariant_kernel(self.ainvs))
+
+    @cached_property
+    def _rational_twist(self) -> RationalTwist | None:
+        """(E0, c4 c6, m) when j is in Q \\ {0, 1728}, else None; decided once
+        per curve.
+
+        Then t = c4^3 / c6^2 = a / b is rational, and E is the quadratic
+        twist by c6 / c4 of E0: y^2 = x^3 - 27 t x - 54 t (Silverman, AEC
+        X.5), kept as its integral model scaled by b.  m = 6 N(c4 c6)
+        N(disc): at a p prime to m, t and t - 1 = 1728 disc / c6^2 are
+        p-units, so E0 is good at p and E at each place P above it, and
+        E's trace at P is (c4 c6 | P) times E0's.
+        """
+        inv = self._invariants
+        if inv.c4.is_zero() or inv.c6.is_zero():
+            return None
+        c6c6 = inv.c6 * inv.c6
+        U, V = (inv.c4**3 * c6c6.conjugate()).doubled()
+        if V:
+            return None
+        t = Fraction(U, 2 * c6c6.norm())
+        a, b = t.numerator, t.denominator
+        c46 = inv.c4 * inv.c6
+        return RationalTwist((0, 0, 0, -27 * a * b**3, -54 * a * b**5), c46,
+                             6 * c46.norm() * inv.disc.norm())
 
     @property
     def ainvs(self):

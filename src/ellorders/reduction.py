@@ -9,9 +9,10 @@ small p; above the lane floor, and over F_{p^2} from p = 11 on, a
 Shanks-Mestre order finder counts good reductions in about O(q^(1/4)) group
 operations.  It never computes a point order: each drawn point gives the set
 of Hasse window numbers that annihilate it, and their intersection pins |E|.
-An inert F_{p^2} order whose j lies in F_p needs no finder: E is then a
-quadratic twist of a curve over F_p, and one F_p count of that curve gives
-it.
+A curve over Q(sqrt d) whose j is rational, other than 0 and 1728, needs
+neither a finder nor a count of its own at almost every p: it is a
+quadratic twist of a rational curve E0, and one F_p count of E0 gives the
+orders at every place above p.
 
 Every F_p count goes through _count_chunk, which alone picks the method by
 one rule: the table, the oracle, counts every prime up to the lane floor and
@@ -692,9 +693,8 @@ def _fq_pt_mul(k, pt, ai, p, r):
 # ---------------------------------------------------------------------------
 # Shanks-Mestre order finding over F_q, q = p or p^2 (Cohen, GTM 138, 7.4.3).
 # A group law here is add(P, Q) on affine points with None for the identity.
-# Over F_{p^2} the finder is _fq_group_order's second way: an order whose j
-# lies in F_p is one F_p count first, the finder takes the rest from p = 11
-# on, and the character sum _fq_enumerate what the finder leaves.
+# Over F_{p^2} the finder makes _fq_group_order's orders from p = 11 on, and
+# the character sum _fq_enumerate what the finder leaves.
 
 
 def _mul(k, pt, add):
@@ -1198,32 +1198,17 @@ def _fq_enumerate(b246, p, r):
 
 
 def _fq_group_order(ai, p, r, b246, c46):
-    """|E(F_{p^2})|: by one F_p count where j is in F_p, else by the order
-    finder for p >= 11, else by enumeration.  The one place that picks how
-    an F_{p^2} order is made.
+    """|E(F_{p^2})| on E's own model: by the order finder for p >= 11, else
+    by enumeration.  The one place that picks how such an order is made;
+    _place_orders takes an order from one F_p count before it where j is
+    rational.
 
     ai, b246 and c46 are the model's a-invariants, (b2, b4, b6) and
-    (c4, c6) in F_{p^2}; ai seeds the draws.  For p > 3 and c4 c6 != 0,
-    t = c4^3 / c6^2 lies in F_p exactly when j = 1728 t / (t - 1) does, and
-    then E is the twist by c6 / c4 of E0: y^2 = x^3 - 27 t x - 54 t over
-    F_p, good since t != 0, 1 (Silverman, AEC X.5).  So |E| is
-    m0 = |E0(F_{p^2})| = N_p(E0) (2p + 2 - N_p(E0)) when c4 c6 is a square
-    of F_{p^2}, that is when its norm is a square mod p, and 2p^2 + 2 - m0
-    when not.  The rest (j outside F_p, j = 0 or 1728, p = 3) goes to the
-    finder from p = 11 on, where q = p^2 > 49 and the orders on E and its
-    quadratic twist always pin |E|, the supersingular groups (Z/(p -+ 1))^2
-    included.  If the draws run out, or p < 11, the character sum decides.
+    (c4, c6) in F_{p^2}; ai seeds the draws.  From p = 11 on, q = p^2 > 49,
+    and the orders on E and its quadratic twist always pin |E|, the
+    supersingular groups (Z/(p -+ 1))^2 included.  If the draws run out, or
+    p < 11, the character sum decides.
     """
-    c4, c6 = c46
-    if p > 3 and c4 != (0, 0) and c6 != (0, 0):
-        _, _, mul, inv, _ = _fq_field(p, r)
-        t, tv = mul(mul(c4, c4), mul(c4, inv(mul(c6, c6))))
-        if tv == 0:
-            [n] = _count_chunk((0, 0, 0, -27 * t % p, -54 * t % p), [p])
-            m0 = _residue_order(n, p, False)
-            if _euler(_fq_norm(c4, p, r) * _fq_norm(c6, p, r), p) == 1:
-                return m0
-            return 2 * p * p + 2 - m0
     if p >= 11:
         rng = _finder_rng(p, (u for a in ai for u in a))
         n = _fq_finder_count(c46, p, r, rng)
@@ -1232,33 +1217,46 @@ def _fq_group_order(ai, p, r, b246, c46):
     return _fq_enumerate(b246, p, r)
 
 
-def _place_orders(c: CurveK, p: int, split: bool):
+def _place_orders(c: CurveK, p: int, split: bool, n0=None):
     """|E(O_K/P)| at each place P above an odd prime p unramified in K, in
     count_curveK_at_prime's order, or None when the model is bad at some
-    place above p."""
-    inv = invariants_K(c)
+    place above p.
+
+    Where j is in Q \\ {0, 1728} and p is prime to CurveK._rational_twist's
+    m = 6 N(c4 c6) N(disc), E is a twist of the rational E0 there, and
+    n0 = N_p(E0), counted here unless the walk passes it, gives every
+    place: p + 1 - (c4 c6 | P) a_p(E0) at a split P, and at the inert one
+    m0 = N_p(E0) (2p + 2 - N_p(E0)) when c4 c6 is a square of F_{p^2}, that
+    is when its norm is a square mod p, and 2p^2 + 2 - m0 when not.  Every
+    other p counts each place on its own model.
+    """
+    inv, tw = invariants_K(c), c._rational_twist
     inv2 = pow(2, p - 2, p)
-    if split:
-        root = _sqrt_mod(c.d % p, p)
-        models = []
-        for rt in (root, p - root):
-            def emb(z: QuadInt) -> int:
-                u, v = z.doubled()
-                return ((u + v * rt) * inv2) % p
-            if emb(inv.disc) == 0:
-                return None
-            models.append(tuple(emb(a) for a in c.ainvs))
-        return [n for model in models for n in _count_chunk(model, [p])]
+    root = _sqrt_mod(c.d % p, p) if split else None
+    rts = (root, p - root) if split else (None,)
 
-    def embq(z: QuadInt):
+    def emb(z: QuadInt, rt):
+        """z mod P, P the place where sqrt d is rt; a pair u + v s at the
+        inert place."""
         u, v = z.doubled()
-        return ((u * inv2) % p, (v * inv2) % p)
+        return (u + v * rt) * inv2 % p if split else (u * inv2 % p, v * inv2 % p)
 
-    if embq(inv.disc) == (0, 0):
+    if tw and tw.m % p:
+        if n0 is None:
+            [n0] = _count_chunk(tw.e0, [p])
+        if split:
+            a0 = p + 1 - n0
+            return [_checked_count(p, p + 1 - _euler(emb(tw.c4c6, rt), p) * a0) for rt in rts]
+        m0 = _residue_order(n0, p, False)
+        square = _euler(tw.c4c6.norm(), p) == 1
+        return [_checked_count(p * p, m0 if square else 2 * p * p + 2 - m0)]
+    if any(emb(inv.disc, rt) in (0, (0, 0)) for rt in rts):
         return None
-    ai = tuple(embq(a) for a in c.ainvs)
-    b246 = (embq(inv.b2), embq(inv.b4), embq(inv.b6))
-    n = _fq_group_order(ai, p, c.d % p, b246, (embq(inv.c4), embq(inv.c6)))
+    if split:
+        return [n for rt in rts for n in _count_chunk(tuple(emb(a, rt) for a in c.ainvs), [p])]
+    b246 = tuple(emb(z, None) for z in (inv.b2, inv.b4, inv.b6))
+    n = _fq_group_order(tuple(emb(a, None) for a in c.ainvs), p, c.d % p, b246,
+                        (emb(inv.c4, None), emb(inv.c6, None)))
     return [_checked_count(p * p, n)]
 
 

@@ -6,8 +6,11 @@ blocks' counts from _stored_counts.  Both read every trace the curve's
 twist class already holds and hand the other primes to
 reduction._count_chunk, which alone picks how a count is made; the traces
 of the counted primes are stored.  quadratic_walk walks a rational curve
-through prime_walk, and a curve over Q(sqrt d) place by place without the
-store, which single counts never touch either.
+through prime_walk.  A curve over Q(sqrt d) walks on prime_walk's blocks
+without the store, which single counts never touch either: where its j is
+rational, one _count_chunk call a block counts the rational curve it
+twists, and reduction._place_orders turns each count into the orders of
+the places above that prime; every other prime is counted place by place.
 
 Two models with one j other than 0 and 1728 are twists: c4 = t^2 c4' and
 c6 = t^3 c6' for a rational t, so u = c4 c6 c4' c6' = t^5 (c4' c6')^2 is in
@@ -157,18 +160,22 @@ def _stored_counts(ai, blocks, mapper=map):
     return map(fill, mapper(_count_chunk, repeat(ai), map(misses, blocks)))
 
 
-def prime_walk(c: CurveQ, lo: int, X: int, keep=None):
-    """(p, N_p) on the p-minimal model at each prime in [lo, X] that keep
-    accepts (every prime without it), ascending.  Blocks of _WALK_FIRST
-    primes, doubling, go through _stored_counts, so an early stop counts
-    few."""
-    ps = [p for p in primes_in_range(lo, X) if keep is None or keep(p)]
-    ai = _ints(c)
+def _blocks(ps):
+    """ps in blocks of _WALK_FIRST primes, doubling up to CHUNK, so a walk
+    that stops early counts few primes past its stop."""
     start, width = 0, _WALK_FIRST
     while start < len(ps):
-        block = ps[start:start + width]
-        yield from zip(block, *_stored_counts(ai, [block]))
+        yield ps[start:start + width]
         start, width = start + width, min(2 * width, CHUNK)
+
+
+def prime_walk(c: CurveQ, lo: int, X: int, keep=None):
+    """(p, N_p) on the p-minimal model at each prime in [lo, X] that keep
+    accepts (every prime without it), ascending, counted a block at a time
+    through _stored_counts."""
+    ai = _ints(c)
+    for block in _blocks([p for p in primes_in_range(lo, X) if keep is None or keep(p)]):
+        yield from zip(block, *_stored_counts(ai, [block]))
 
 
 def quadratic_walk(c, d: int, X: int):
@@ -179,6 +186,11 @@ def quadratic_walk(c, d: int, X: int):
     split p have the order N_p.  A curve over K itself (d must be its own)
     yields one triple per place, the split places in count_curveK_at_prime's
     order, and skips each p where its model is bad at some place above p.
+    Where its j is rational, other than 0 and 1728, the walk counts the
+    rational curve E0 it twists (CurveK._rational_twist) in one _count_chunk
+    call a block, at the block's primes prime to the twist's m and outside
+    the store, and _place_orders makes every place above such a p from
+    that one count; it counts the other primes place by place.
     """
     if not isinstance(c, CurveK):
         _check_field(d)
@@ -189,7 +201,11 @@ def quadratic_walk(c, d: int, X: int):
         return
     if d != c.d:
         raise InputError(f"curve lives in Q(sqrt {c.d}), not Q(sqrt {d})")
-    for p in (q for q in primes_in_range(3, X) if d % q):
-        split = _euler(d % p, p) == 1
-        for n in _place_orders(c, p, split) or ():
-            yield p, split, n
+    tw = c._rational_twist
+    for block in _blocks([q for q in primes_in_range(3, X) if d % q]):
+        twisted = [p for p in block if tw and tw.m % p]
+        n0 = dict(zip(twisted, _count_chunk(tw.e0, twisted))) if twisted else {}
+        for p in block:
+            split = _euler(d % p, p) == 1
+            for n in _place_orders(c, p, split, n0.get(p)) or ():
+                yield p, split, n

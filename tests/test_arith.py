@@ -47,6 +47,18 @@ class TestPrimes:
             assert primes_in_range(lo, hi) == [
                 n for n in range(lo, hi + 1) if is_prime(n)]
 
+    def test_is_prime_agrees_with_the_sieve_to_3e5(self):
+        # four Miller-Rabin bases decide everything below 3215031751
+        X = 3 * 10**5
+        assert [n for n in range(X + 1) if is_prime(n)] == primes_in_range(0, X)
+
+    def test_strong_pseudoprimes_to_the_first_bases(self):
+        # the smallest strong pseudoprimes to base 2, to 2 and 3, to 2, 3
+        # and 5, and to 2, 3, 5 and 7: the last is where four bases stop
+        for n in (2047, 1373653, 25326001, 3215031751):
+            assert not is_prime(n), n
+        assert 3215031751 == 151 * 751 * 28351
+
     def test_ceiling_refused(self):
         with pytest.raises(ResourceError, match="ceiling"):
             primes_in_range(2, COUNT_CEILING + 1)

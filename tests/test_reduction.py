@@ -438,9 +438,11 @@ class TestCurveKCounts:
         # a6 delta^3) over K: at an inert p not dividing N(delta), the
         # twist's order is E's m0 = |E(F_{p^2})| when delta is a square of
         # F_{p^2}, i.e. when N(delta) is a square mod p, and 2p^2 + 2 - m0
-        # when not.  |disc| / 16 = |4 a4^3 + 27 a6^2| < 3^12, so E is minimal
-        # at every odd p and its base change (delta = 1) walks exactly the
-        # rational primes.
+        # when not.  At a split p each place's order is the table's count
+        # of the twist's model embedded there, the smaller root of d first.
+        # |disc| / 16 = |4 a4^3 + 27 a6^2| < 3^12, so E is minimal at every
+        # odd p and its base change (delta = 1) walks exactly the rational
+        # primes.
         assume(4 * a4**3 + 27 * a6**2 != 0 and (u, v) != (0, 0))
         X = 150
         E = curve([0, 0, 0, a4, a6])
@@ -450,12 +452,26 @@ class TestCurveKCounts:
         m0 = {p: n for p, split, n in rational if not split}
         delta = QuadInt(u, v, d)
         twisted = curve_K([0, 0, 0, a4 * delta**2, a6 * delta**3], d)
-        got = {p: n for p, split, n in quadratic_walk(twisted, d, X) if not split}
+        got, split_got = {}, {}
+        for p, split, n in quadratic_walk(twisted, d, X):
+            if split:
+                split_got.setdefault(p, []).append(n)
+            else:
+                got[p] = n
         nd = delta.norm()
         assert got.keys() == {p for p in m0 if nd % p}
         for p, n in got.items():
             want = m0[p] if legendre(nd, p) == 1 else 2 * p * p + 2 - m0[p]
             assert n == want, (a4, a6, d, u, v, p)
+        assert split_got.keys() == {p for p, split, _ in rational if split and nd % p}
+        for p, ns in split_got.items():
+            root, inv2 = sqrt_mod(d, p), pow(2, -1, p)
+            want = []
+            for rt in (root, p - root):
+                doubled = (a.doubled() for a in twisted.ainvs)
+                model = tuple((U + V * rt) * inv2 % p for U, V in doubled)
+                want.append(_count_model_mod_p(model, p))
+            assert ns == want, (a4, a6, d, u, v, p)
 
     def test_ramified_and_two_refused(self):
         with pytest.raises(UnsupportedPrimeError):
@@ -585,30 +601,32 @@ class TestOrderFinder:
 
     def test_rational_j_rule_matches_enumeration(self, monkeypatch):
         # both built-in curves have rational j: at every inert 5 <= p <= 250
-        # with c4 c6 != 0 mod P, one F_p count gives the character sum's
-        # order, and both square classes of c4 c6 occur; at p = 7 c4 c6 = 0
-        # mod P for both, and enumeration decides
+        # with c4 c6 != 0 mod P, count_curveK_at_prime takes the order from
+        # one F_p count of the rational curve they twist, which gives the
+        # character sum's order, and both square classes of c4 c6 occur; at
+        # p = 7 c4 c6 = 0 mod P for both
         def refuse(*args):
-            raise AssertionError("the j in F_p rule should decide")
+            raise AssertionError("the rational twist should decide")
 
         for ck in (everywhere_good_33(), everywhere_good_6()):
             classes = Counter()
             for p in primes_in_range(5, 250):
                 if splitting(ck.d, p).kind is not SplitKind.INERT:
                     continue
-                args = _inert_args(ck, p)
-                _, _, r, b246, (c4, c6) = args
+                _, _, r, b246, (c4, c6) = _inert_args(ck, p)
                 want = _fq_enumerate(b246, p, r)
                 in_fp = _j_in_fp((c4, c6), p, r)
                 if in_fp is None:
+                    # the model is bad at 7 too, which count_curveK_at_prime
+                    # refuses; the order maker on the model still agrees
                     assert p == 7
-                    assert _fq_group_order(*args) == want
+                    assert _fq_group_order(*_inert_args(ck, p)) == want
                     continue
                 assert in_fp, (ck.d, p)
                 with monkeypatch.context() as m:
                     m.setattr(reduction, "_fq_finder_count", refuse)
                     m.setattr(reduction, "_fq_enumerate", refuse)
-                    assert _fq_group_order(*args) == want, (ck.d, p)
+                    assert count_curveK_at_prime(ck, p) == [want], (ck.d, p)
                 classes[legendre(_fq_norm(c4, p, r) * _fq_norm(c6, p, r), p)] += 1
             assert classes[1] >= 10 and classes[-1] >= 10, (ck.d, classes)
 
@@ -854,11 +872,12 @@ class TestLaneFinder:
         assert misses == []
 
     def test_every_imported_name_is_read(self):
-        # each name an import binds in the package, the tests and the demos
+        # each name an import binds in the package, the tests, the demos and
+        # the tools
         # is read in that file; the __future__ import binds no name
         root = Path(__file__).resolve().parents[1]
         unread = []
-        for folder in ("src/ellorders", "tests", "demos"):
+        for folder in ("src/ellorders", "tests", "demos", "tools"):
             for path in sorted((root / folder).glob("*.py")):
                 tree = ast.parse(path.read_text(), str(path))
                 read = {n.id for n in ast.walk(tree)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from ellorders import reduction, walk
 from ellorders.arith import legendre, primes_in_range, sqrt_mod
 from ellorders.curve import (
+    QuadInt,
     _invariant_kernel,
     curve,
     curve_K,
@@ -407,9 +408,17 @@ class TestGcdOrdersQuadratic:
             reduction.count_curveK_at_prime(curve_K(SIX_CURVE, 33), 17)
 
     def test_inert_order_outside_the_hasse_window_raises(self, monkeypatch):
-        # 7 is inert in Q(sqrt 33); p^2 + 2p + 2 is one past the window's top
+        # 7 is inert in Q(sqrt 33); p^2 + 2p + 2 is one past the window's
+        # top.  j of y^2 = x^3 + (1 + sqrt 33) x + 1 is not rational, so
+        # its order comes from _fq_group_order on its own model
         monkeypatch.setattr(reduction, "_fq_group_order",
                             lambda ai, p, *_: p * p + 2 * p + 2)
+        with pytest.raises(DataIntegrityError, match="Hasse"):
+            reduction.count_curveK_at_prime(
+                curve_K([0, 0, 0, QuadInt(1, 1, 33), 1], 33), 7)
+        # a rational j's order comes from one F_p count of the rational
+        # curve it twists, which is checked there
+        _lie_at_good_primes(monkeypatch)
         with pytest.raises(DataIntegrityError, match="Hasse"):
             reduction.count_curveK_at_prime(curve_K(SIX_CURVE, 33), 7)
 

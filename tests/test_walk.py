@@ -9,10 +9,17 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellorders import walk
+from ellorders import reduction, walk
 from ellorders.arith import primes_in_range
 from ellorders.catalog import as_curve, bundled_corpus, resolve_label
-from ellorders.curve import _invariant_kernel, curve, quadratic_twist, transformed
+from ellorders.curve import (
+    _invariant_kernel,
+    curve,
+    everywhere_good_6,
+    everywhere_good_33,
+    quadratic_twist,
+    transformed,
+)
 from ellorders.reduction import _count_chunk, _ints
 
 TWINS = (("2880r6", "15a4"), ("150b3", "450a3"), ("50a3", "50b1"),
@@ -156,3 +163,42 @@ class TestTraceStore:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
+
+
+class TestQuadraticWalk:
+    def test_rational_j_walk_counts_only_its_rational_twist(self, monkeypatch):
+        # both built-in curves have rational j: a walk to 2000 counts the
+        # rational curve E0 they twist once a block, at the primes prime to
+        # m, outside the store, and only the primes dividing m on the
+        # curve's own model; at 5 and 7 over Q(sqrt 6) that model is good,
+        # and 7 over Q(sqrt 33) is bad
+        calls, fq = [], []
+
+        def spy(ai, ps):
+            calls.append((ai, list(ps)))
+            return _count_chunk(ai, ps)
+
+        def fq_spy(real):
+            def spied(*args):
+                fq.append(args[1])
+                return real(*args)
+            return spied
+
+        monkeypatch.setattr(walk, "_count_chunk", spy)
+        monkeypatch.setattr(reduction, "_count_chunk", spy)
+        for name in ("_fq_finder_count", "_fq_enumerate"):
+            monkeypatch.setattr(reduction, name, fq_spy(getattr(reduction, name)))
+        fallbacks = set()
+        for ck in (everywhere_good_33(), everywhere_good_6()):
+            e0, _, m = ck._rational_twist
+            calls.clear()
+            fq.clear()
+            list(walk.quadratic_walk(ck, ck.d, 2000))
+            ps = [p for p in primes_in_range(3, 2000) if ck.d % p]
+            assert [b for ai, b in calls if ai == e0] == [
+                [p for p in block if m % p] for block in walk._blocks(ps)]
+            own = [p for ai, b in calls if ai != e0 for p in b] + fq
+            assert all(m % p == 0 for p in own), (ck.d, own)
+            fallbacks.update(own)
+        assert fallbacks == {5, 7}
+        assert not walk._TRACES
