@@ -26,9 +26,10 @@ lanes (one draw per lane and round, Jacobian coordinates reduced only after
 products, one batched inversion per lane), in rounds of at least _LANE_MIN
 lanes; a lane a round leaves unpinned rides in a later batch of its block.
 The lanes no round pins go to the scalar finder, and the table takes only
-its misses.  Up to the lane floor the table reads its residue symbols from
-a cache.  Every F_p count and every inert F_{p^2} order passes
-_checked_count.
+its misses.  The table counts all of a block's table primes in one call,
+whose numpy passes each cover a segment of primes, the residue symbols
+taken from the segment's own squares.  Every F_p count and every inert
+F_{p^2} order passes _checked_count.
 
 The scalar finders add on plain-int short laws of their own, _fp_law over
 F_p and _fq_law over F_{p^2}, not on _pt_add, the long-model law for any
@@ -77,15 +78,17 @@ from .errors import (
 
 # The one table/finder boundary: the table counts every prime up to it, and
 # an order finder every good prime above it, in lane rounds where a block
-# has _LANE_MIN such primes and by the scalar finder otherwise.  With 192
-# lanes in [1000, 2500], lanes plus fallbacks cost 20-40 us a prime against
-# the table's 35-48 us; in a block of 64 the two are about even in
-# [1000, 1500] (26-56 against 27-41 us) and the table leads in [500, 1000]
-# (20-33 against 24-48 us).  A single count in (1000, 2500] takes 59-86 us
-# on the table and 71-80 us on the scalar finder, and 33 against 64 us in
-# [500, 1000].  Survey blocks hold up to CHUNK primes, so most lanes run
-# 256 to a round (2-vCPU Xeon, CPython 3.11, numpy 2.4).  Never below
-# Mestre's bound 229.
+# has _LANE_MIN such primes and by the scalar finder otherwise.  With the
+# table counting a block in one call, 192 lanes in [1000, 2500] cost 20-37
+# us a prime with their fallbacks against the table's 31-45 us; in a block
+# of 64 the table leads in [500, 1000] (19-20 against 58-65 us) and in
+# [1000, 1500] (29-33 against 42-56 us).  A single count in (1000, 2500]
+# takes 77-80 us on the table and 46-61 us on the scalar finder.  A survey
+# block of every prime to 3000, or of CHUNK primes (to 17,900), runs
+# fastest with the floor at 1000: 9.2 and 28.2 ms, against 9.7-10.0 and
+# 29.3-31.2 ms at 1500 and 12.7-12.8 and 31.1-32.7 ms at 2500.  Survey
+# blocks hold up to CHUNK primes, so most lanes run 256 to a round (2-vCPU
+# Xeon, CPython 3.11, numpy 2.4).  Never below Mestre's bound 229.
 _LANE_FLOOR = 1000
 
 # Points an order finder draws before its caller falls back to its oracle.
@@ -396,62 +399,84 @@ def smooth_locus_order(ld: LocalData) -> int:
     )
 
 
-# The table's residue symbols at the odd primes up to _LANE_FLOOR, filled
-# lazily: 167 arrays, about 76 KB.
-_SYMBOLS = {}
+# x values a table segment holds at most: one numpy pass counts a segment's
+# primes, and a prime with more x values is a segment of its own.  A block
+# of walk primes up to 500 fits one or two segments; each int32 array of a
+# full segment takes 64 KB.
+_TABLE_SEGMENT = 1 << 14
 
 
-def _residue_symbols(p):
-    """(x|p) for x in [0, p) as int8, p an odd prime.
+def _count_table(models, primes) -> list:
+    """Projective points of the reduction of models[i] mod primes[i], for
+    each i, in input order; each model is integral.
 
-    Cached read-only up to _LANE_FLOOR, where the table counts every prime;
-    built per call above it, where it counts only bad primes and the scalar
-    finder's misses.
+    Valid for good and bad reduction alike: the residue character sum
+    p + 1 + sum over x of (B(x) | p), B(x) = 4x^3 + b2 x^2 + 2 b4 x + b6,
+    counts points of the possibly singular reduced cubic.  It is the oracle
+    the order finders are tested against; _count_chunk decides when it runs.
+    At p = 2 the four affine points are tried one by one; the odd primes
+    run in segments of at most _TABLE_SEGMENT x values, in input order.
     """
-    chi = _SYMBOLS.get(p)
-    if chi is None:
-        squares = np.arange(p, dtype=np.int64)
-        squares *= squares
-        squares %= p
-        chi = np.full(p, -1, dtype=np.int8)
-        chi[squares] = 1
-        chi[0] = 0
-        if p <= _LANE_FLOOR:
-            chi.flags.writeable = False
-            _SYMBOLS[p] = chi
-    return chi
+    out, b246, seg, size = [0] * len(primes), {}, [], 0
+    for i, (ai, p) in enumerate(zip(models, primes)):
+        if p == 2:
+            # the affine points (x, y) of F_2^2, where x^3 = x^2 = x
+            a1, a2, a3, a4, a6 = ai
+            out[i] = 1 + sum((y * y + a1 * x * y + a3 * y - x - a2 * x - a4 * x - a6) % 2 == 0
+                             for x in (0, 1) for y in (0, 1))
+            continue
+        if seg and size + p > _TABLE_SEGMENT:
+            _table_segment(seg, size, out)
+            seg, size = [], 0
+        b2, b4, b6 = b246.get(ai) or b246.setdefault(ai, _invariant_kernel(ai)[:3])
+        seg.append((i, p, size, b2 % p, 2 * b4 % p, b6 % p))
+        size += p
+    if seg:
+        _table_segment(seg, size, out)
+    return out
 
 
-def _count_model_mod_p(ai, p: int) -> int:
-    """Projective points of the reduction of an integral model mod p.
+def _table_segment(seg, size, out):
+    """The character sums of one segment's rows (index, p, start, b2, 2 b4,
+    b6), coefficients reduced mod p, into out, in one numpy pass over its
+    size x values.
 
-    Valid for good and bad reduction alike: the residue character sum counts
-    points of the possibly singular reduced cubic.  It is the oracle the
-    order finders are tested against; _count_chunk decides when it runs.
+    The primes' x ranges are concatenated, each from its start, each (x|p)
+    is read off the segment's own squares, and B(x) runs by Horner reduced
+    twice: below 5p^2 + p at the first reduction and p^2 at the second,
+    where a single one would meet 5p^3, past 2^63 above p = 1.23*10^6.  So
+    int32 holds the arithmetic and the indices up to p = 20719, and int64
+    above.  Every value is nonnegative, so fmod, faster than %, reduces.  A
+    segment of one prime takes its p and coefficients as Python ints, each
+    below p, instead of repeating them.
     """
-    if p == 2:
-        a1, a2, a3, a4, a6 = (a % 2 for a in ai)
-        count = 1
-        for x in (0, 1):
-            for y in (0, 1):
-                if (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % 2 == 0:
-                    count += 1
-        return count
-    b2, b4, b6, *_ = _invariant_kernel(ai)
-    chi = _residue_symbols(p)
-    # B(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 by Horner in place, reduced twice:
-    # below 5p^2 at the first reduction and p^2 at the second, where a
-    # single one would meet 5p^3, past 2^63 above p = 1.23*10^6
-    xs = np.arange(p, dtype=np.int64)
-    vals = 4 * xs
-    vals += b2 % p
+    idx, ps, starts, *_ = cols = tuple(zip(*seg))
+    top = max(ps)
+    dt = np.int32 if 5 * top * top + top < 2**31 else np.int64
+    xs = np.arange(size, dtype=dt)
+    if len(ps) > 1:
+        rows = np.array(cols[1:], dtype=dt)
+        P, base = np.repeat(rows[:2], ps, axis=1)
+        xs -= base
+        # each coefficient column repeated as Horner takes it, so that one
+        # such array of the segment's length is alive at a time
+        coeffs = (np.repeat(row, ps) for row in rows[2:])
+    else:
+        P, base, coeffs = ps[0], 0, (c[0] for c in cols[3:])
+    chi = np.full(size, -1, dtype=np.int8)
+    chi[np.fmod(xs * xs, P) + base] = 1
+    chi[list(starts)] = 0
+    vals = 4 * xs + next(coeffs)
     vals *= xs
-    vals += 2 * b4 % p
-    vals %= p
+    vals += next(coeffs)
+    np.fmod(vals, P, out=vals)
     vals *= xs
-    vals += b6 % p
-    vals %= p
-    return int(p + 1 + chi[vals].sum())
+    vals += next(coeffs)
+    np.fmod(vals, P, out=vals)
+    vals += base
+    sums = np.add.reduceat(chi.take(vals), starts, dtype=np.int64)
+    for i, p, s in zip(idx, ps, sums.tolist()):
+        out[i] = p + 1 + s
 
 
 def count_points_fp(c: CurveQ, p: int) -> PointCount:
@@ -530,7 +555,7 @@ def twist_count_identity_check(c: CurveQ, p: int) -> bool:
     ai = _good_model_at(_ints(c), p, "twist identity check")
     b2, b4, b6, *_ = _invariant_kernel(ai)
     # complete the square only; eliminating the x^2 term would need p > 3
-    inv2 = pow(2, p - 2, p)
+    inv2 = (p + 1) // 2
     inv4 = inv2 * inv2 % p
     a2 = b2 * inv4 % p
     a4 = b4 * inv2 % p
@@ -1100,14 +1125,15 @@ def _count_chunk(ai, primes) -> list:
     """N_p on the p-minimal model at each prime of a block, checked.
 
     The one place that picks a count's method, single counts included.  The
-    table _count_model_mod_p counts every p up to _LANE_FLOOR and every bad
-    p; an order finder counts every good p above it.  Those p are lanes, run
+    table _count_table counts every p up to _LANE_FLOOR and every bad p; an
+    order finder counts every good p above it.  Those p are lanes, run
     _LANES at a time in rounds of at least _LANE_MIN; a lane a round leaves
     unpinned rides in a later batch of the block.  A lane that no round
     runs, or that _LANE_ROUNDS rounds leave unpinned, goes to
-    _fp_finder_count, and the table takes only that finder's misses.  Every
-    draw of the block comes from one generator, seeded from the model and
-    the first prime.
+    _fp_finder_count, and the table takes only that finder's misses, in one
+    call with the block's other table primes after the lanes.  Every draw
+    of the block comes from one generator, seeded from the model and the
+    first prime.
     """
     if not primes:
         return []
@@ -1117,7 +1143,7 @@ def _count_chunk(ai, primes) -> list:
     *_, c4, c6, disc = _invariant_kernel(ai)
     out = [0] * len(primes)
     lds = [None] * len(primes)
-    lanes = []  # (index, p, model, c4, c6)
+    table, lanes = [], []  # (index, model, p) and (index, p, model, c4, c6)
     for i, p in enumerate(primes):
         model, mc4, mc6, good = ai, c4, c6, disc % p
         if not good:
@@ -1128,7 +1154,7 @@ def _count_chunk(ai, primes) -> list:
         if p > _LANE_FLOOR and good:
             lanes.append((i, p, model, mc4, mc6))
         else:
-            out[i] = _count_model_mod_p(model, p)
+            table.append((i, model, p))
     rng = _finder_rng(primes[0], ai) if lanes else None
     # lanes is a queue: an unpinned lane rejoins its tail, so it shares a
     # later batch with fresh lanes instead of a pass of its own
@@ -1149,7 +1175,12 @@ def _count_chunk(ai, primes) -> list:
                 left.append(lane)
     for i, p, model, c4, c6 in left + lanes[start:]:
         n = _fp_finder_count(c4, c6, p, rng)
-        out[i] = _count_model_mod_p(model, p) if n is None else n
+        if n is None:
+            table.append((i, model, p))
+        out[i] = n
+    idx, models, ps = zip(*table) if table else ((),) * 3
+    for i, n in zip(idx, _count_table(models, ps)):
+        out[i] = n
     return list(map(_checked_count, primes, out, lds))
 
 
@@ -1231,7 +1262,7 @@ def _place_orders(c: CurveK, p: int, split: bool, n0=None):
     other p counts each place on its own model.
     """
     inv, tw = invariants_K(c), c._rational_twist
-    inv2 = pow(2, p - 2, p)
+    inv2 = (p + 1) // 2
     root = _sqrt_mod(c.d % p, p) if split else None
     rts = (root, p - root) if split else (None,)
 

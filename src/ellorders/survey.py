@@ -13,6 +13,7 @@ involved.  Scans are pure: the store only caches counts.
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -144,21 +145,25 @@ def congruence_survey(c: CurveQ, spec: SurveySpec, workers: int = 1) -> Congruen
     spec adds on top.  The primes are counted in fixed blocks of CHUNK,
     serially or one block per pool job, through the trace store, and
     bucketed in one ascending stream, so the table is identical for every
-    worker count.  The pool has at most one process per block, so a survey
-    of at most CHUNK primes (X up to about 17,900) runs serially.  A bound
-    above COUNT_CEILING is refused before any prime is sieved or counted.
+    worker count.  The pool has at most one process per block and per CPU,
+    so a survey of at most CHUNK primes (X up to about 17,900) runs
+    serially.  A worker count below 1, and a bound above COUNT_CEILING, are
+    refused before any prime is sieved or counted.
     """
+    if workers < 1:
+        raise InputError(f"need at least one worker, got {workers}")
     skip = set(spec.exclusions) | set(factorize(2 * spec.m * spec.N))
     ai = _ints(c)
     good = _good_at(ai)
     ps = [p for p in primes_in_range(2, spec.X) if p not in skip and good(p)]
     blocks = [ps[i:i + CHUNK] for i in range(0, len(ps), CHUNK)]
-    if workers > 1 and len(blocks) > 1:
+    workers = min(workers, len(blocks), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: it loads multiprocessing, about 2 MB resident
         from concurrent.futures import ProcessPoolExecutor
 
         # a fork pool starts all its processes at the first job
-        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             counts = list(_stored_counts(ai, blocks, pool.map))
     else:
         counts = _stored_counts(ai, blocks)

@@ -71,9 +71,12 @@ class TestSurveyCommand:
 
     def test_pool_has_at_most_one_process_per_block(self, runner, monkeypatch):
         # a fork pool starts all max_workers processes at the first job, so
-        # 64 threads for the 5 blocks of 2048 primes to 10^5 must ask for 5;
-        # the recording executor maps in this process and starts none
+        # 64 threads for the 5 blocks of 2048 primes to 10^5 must ask for 5
+        # on 64 CPUs and for 3 on 3, and run serially on one CPU or when the
+        # count is unknown; the recording executor maps in this process and
+        # starts none
         import concurrent.futures
+        import os
 
         sizes = []
 
@@ -92,10 +95,25 @@ class TestSurveyCommand:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         args = ["survey", "--curve", "[1,1,0,-700,34000]", "--mod", "10",
                 "--class-mod", "5", "--max-prime", "100000", "--format", "json"]
-        pooled = invoke(runner, *args, "--threads", "64")
-        assert pooled.exit_code == 0
-        assert sizes == [5]
-        assert pooled.output == invoke(runner, *args).output
+        serial = invoke(runner, *args).output
+        for cpus, want in ((64, [5]), (3, [3]), (1, []), (None, [])):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            sizes.clear()
+            pooled = invoke(runner, *args, "--threads", "64")
+            assert pooled.exit_code == 0
+            assert sizes == want, cpus
+            assert pooled.output == serial
+
+    def test_threads_below_one_exit_2(self, runner):
+        args = ["survey", "--curve", "[0,0,0,-12,-11]", "--mod", "12",
+                "--class-mod", "20", "--max-prime", "500"]
+        for threads in ("0", "-3"):
+            res = invoke(runner, *args, "--threads", threads)
+            assert res.exit_code == 2, threads
+            assert "worker" in res.output
+        res = invoke(runner, "corpus-verify", "--max-prime", "100", "--threads", "0")
+        assert res.exit_code == 2
+        assert "worker" in res.output
 
     def test_repeat_invocations_byte_identical(self, runner):
         args = ["survey", "--curve", "[0,0,0,-12,-11]", "--mod", "12",

@@ -36,7 +36,7 @@ from ellorders.reduction import (
     ReductionType,
     SplitKind,
     _count_chunk,
-    _count_model_mod_p,
+    _count_table,
     _finder_rng,
     _fp_finder_count,
     _fq_enumerate,
@@ -49,6 +49,7 @@ from ellorders.reduction import (
     _pt_add,
     _pt_neg,
     _window_annihilators,
+    bad_primes,
     count_at_quadratic_prime,
     count_curveK_at_prime,
     count_extension,
@@ -61,6 +62,12 @@ from ellorders.reduction import (
 )
 from ellorders.walk import quadratic_walk
 from ellorders.survey import gcd_orders_quadratic
+
+
+def _table(ai, p):
+    """The table's count of one model at one prime."""
+    [n] = _count_table([ai], [p])
+    return n
 
 
 class TestLocalData:
@@ -364,7 +371,7 @@ class TestCurveKCounts:
         ck = curve_K([0, 0, 0, QuadInt(0, 1, 33), 2], 33)
         for p in (17, 29, 37):
             r = sqrt_mod(33 % p, p)
-            expect = [_count_model_mod_p((0, 0, 0, rr, 2), p) for rr in (r, p - r)]
+            expect = [_table((0, 0, 0, rr, 2), p) for rr in (r, p - r)]
             assert count_curveK_at_prime(ck, p) == expect
 
     def test_everywhere_good_curves_count_everywhere_odd_unramified(self):
@@ -470,7 +477,7 @@ class TestCurveKCounts:
             for rt in (root, p - root):
                 doubled = (a.doubled() for a in twisted.ainvs)
                 model = tuple((U + V * rt) * inv2 % p for U, V in doubled)
-                want.append(_count_model_mod_p(model, p))
+                want.append(_table(model, p))
             assert ns == want, (a4, a6, d, u, v, p)
 
     def test_ramified_and_two_refused(self):
@@ -525,7 +532,7 @@ class TestOrderFinder:
             for p in primes:
                 if disc % p == 0:
                     continue
-                want = _count_model_mod_p(ai, p)
+                want = _table(ai, p)
                 got = _fp_finder_count(c4, c6, p, _finder_rng(p, ai))
                 assert got == want, (ai, p)
                 if p > floor:
@@ -585,7 +592,7 @@ class TestOrderFinder:
     def test_fallbacks_return_the_oracle_values(self, monkeypatch):
         ai = self.CURVES[3]
         p = primes_in_range(reduction._LANE_FLOOR + 1, 10**5)[0]
-        want = _count_model_mod_p(ai, p)
+        want = _table(ai, p)
         # j of y^2 = x^3 + (1 + sqrt 33) x + 1 is not in F_241, so its order
         # is the finder's, and with no draws the character sum's
         ck, q = curve_K([0, 0, 0, QuadInt(1, 1, 33), 1], 33), 241
@@ -713,7 +720,7 @@ class TestLaneFinder:
         for ai in TestOrderFinder.CURVES:
             disc = _invariant_kernel(ai)[6]
             primes = [p for p in primes_in_range(lo, hi) if disc % p]
-            wants[ai] = primes, [_count_model_mod_p(ai, p) for p in primes]
+            wants[ai] = primes, _count_table([ai] * len(primes), primes)
         seen = self._pinned(monkeypatch)
         for ai, (primes, want) in wants.items():
             assert _count_chunk(ai, primes) == want, ai
@@ -732,7 +739,7 @@ class TestLaneFinder:
         disc = _invariant_kernel(ai)[6]
         primes = [p for p in primes_in_range(reduction._LANE_FLOOR + 1, 10**4)
                   if disc % p][:reduction._LANE_MIN - 1]
-        want = [_count_model_mod_p(ai, p) for p in primes]
+        want = _count_table([ai] * len(primes), primes)
         seen = self._pinned(monkeypatch)
         assert _count_chunk(ai, primes) == want
         assert seen[0] == 0
@@ -741,9 +748,9 @@ class TestLaneFinder:
     def _methods(monkeypatch):
         """Spy on the table and the scalar finder: the primes each counted."""
         seen = {"table": [], "scalar": []}
-        table, scalar = reduction._count_model_mod_p, reduction._fp_finder_count
-        monkeypatch.setattr(reduction, "_count_model_mod_p",
-                            lambda ai, p: seen["table"].append(p) or table(ai, p))
+        table, scalar = reduction._count_table, reduction._fp_finder_count
+        monkeypatch.setattr(reduction, "_count_table",
+                            lambda models, ps: seen["table"].extend(ps) or table(models, ps))
         monkeypatch.setattr(
             reduction, "_fp_finder_count",
             lambda c4, c6, p, rng: seen["scalar"].append(p) or scalar(c4, c6, p, rng))
@@ -753,7 +760,7 @@ class TestLaneFinder:
         ai = TestOrderFinder.CURVES[3]
         disc = _invariant_kernel(ai)[6]
         p = next(p for p in primes_in_range(reduction._LANE_FLOOR + 1, 10**4) if disc % p)
-        want = _count_model_mod_p(ai, p)
+        want = _table(ai, p)
         methods = self._methods(monkeypatch)
         seen = self._pinned(monkeypatch)
         assert _count_chunk(ai, [p]) == [want]
@@ -764,7 +771,7 @@ class TestLaneFinder:
         ai = TestOrderFinder.CURVES[3]
         p = primes_in_range(2, reduction._LANE_FLOOR)[-1]
         assert _invariant_kernel(ai)[6] % p
-        want = _count_model_mod_p(ai, p)
+        want = _table(ai, p)
         methods = self._methods(monkeypatch)
         seen = self._pinned(monkeypatch)
         assert _count_chunk(ai, [p]) == [want]
@@ -779,7 +786,7 @@ class TestLaneFinder:
         disc = _invariant_kernel(ai)[6]
         primes = [p for p in primes_in_range(5000, 10**4)
                   if disc % p][:reduction._LANE_MIN + 8]
-        want = [_count_model_mod_p(ai, p) for p in primes]
+        want = _count_table([ai] * len(primes), primes)
         seeded, rngs, scalar = [], [], []
         real_rng, real_round, real_scalar = (
             reduction._finder_rng, reduction._lane_round, reduction._fp_finder_count)
@@ -828,7 +835,7 @@ class TestLaneFinder:
         assert len(sources) > 5
         for path in sources:
             visit(ast.parse(path.read_text(), str(path)), path.stem)
-        for kernel in ("_count_model_mod_p", "_fp_finder_count", "_lane_round"):
+        for kernel in ("_count_table", "_fp_finder_count", "_lane_round"):
             assert users[kernel] == {"reduction._count_chunk"}, kernel
         assert users["_fq_finder_count"] == {"reduction._fq_group_order"}
         assert users["_fq_enumerate"] == {"reduction._fq_group_order",
@@ -926,7 +933,7 @@ class TestLaneFinder:
         monkeypatch.setattr(reduction, "_count_chunk",
                             lambda ai, ps: chunks.append(ps) or real(ai, ps))
         seen = self._pinned(monkeypatch)
-        assert count_points_fp(curve(list(ai)), p).count == _count_model_mod_p(ai, p)
+        assert count_points_fp(curve(list(ai)), p).count == _table(ai, p)
         assert chunks == [[p]]
         assert seen[0] == 0
 
@@ -971,7 +978,7 @@ class TestCountArithmetic:
         ai = (0, -(q + t), 0, q * t, 0)
         ld = local_data(curve(list(ai)), q)
         assert ld.kodaira.label == "I2"
-        assert _count_model_mod_p(ai, q) == ld.reduced_count
+        assert _table(ai, q) == ld.reduced_count
         assert _count_chunk(ai, [q]) == [ld.reduced_count]
 
     def test_lane_law_matches_generic_law_near_count_ceiling(self):
@@ -1027,35 +1034,87 @@ class TestCountArithmetic:
         assert list(zip(lo.tolist(), hi.tolist())) == [
             reduction._hasse_window(q) for q in big]
 
-    def test_symbol_cache_holds_small_primes_read_only(self):
-        ai = TestOrderFinder.CURVES[3]
-        floor = reduction._LANE_FLOOR
-        big = primes_in_range(floor + 1, floor + 100)[0]
-        for p in (3, 101, primes_in_range(2, floor)[-1], big):
-            _count_model_mod_p(ai, p)
-        cache = reduction._SYMBOLS
-        assert 101 in cache and big not in cache
-        assert all(p <= floor for p in cache)
-        for p, chi in cache.items():
-            assert chi.dtype == np.int8 and not chi.flags.writeable
-            with pytest.raises(ValueError):
-                chi[0] = 1
-        assert cache[101].tolist() == [legendre(x, 101) for x in range(101)]
-
-    def test_table_matches_character_sum(self):
-        # p + 1 + sum of (B(x) | p), written out in Python, at every odd
-        # prime to 200, bad primes included, for seeded models with large
-        # and negative coefficients
+    def test_table_matches_character_sum(self, monkeypatch):
+        # p + 1 + sum of (B(x) | p), written out in Python, on one mixed
+        # batch in shuffled order: seeded models with large and negative
+        # coefficients, p = 2 and 3, bad primes on their minimal models, the
+        # same prime under several models, segments filled past their
+        # boundary, a prime longer than a segment, and the last int32 prime
+        # 20719 beside the first int64 one 20731, each on a model with
+        # b2 = 2 b4 = -1 mod p, whose B(x) meets 5p^2 + p before the first
+        # reduction
         rng = random.Random(7)
         models = [tuple(rng.randrange(-10**30, 10**30) for _ in range(5))
                   for _ in range(3)] + [(0, 1, 0, -333, -3537), (1, -1, 1, -199, 510)]
-        for ai in models:
+        seg = reduction._TABLE_SEGMENT
+        assert 5 * 20719**2 + 20719 < 2**31 < 5 * 20731**2 + 20731 and seg < 20719
+        big = primes_in_range(seg + 1, seg + 100)[0]
+        pairs = [(ai, p) for ai in models for p in primes_in_range(2, 200)]
+        pairs.append((models[0], big))
+        for p in (20719, 20731):
+            edge = (1, -pow(2, -1, p) % p, 0, -pow(4, -1, p) % p, 0)
+            b2, b4, *_ = _invariant_kernel(edge)
+            assert b2 % p == 2 * b4 % p == p - 1
+            pairs += [(edge, p), (models[3], p)]
+        for ai in models[3:]:
+            for p in bad_primes(curve(list(ai))):
+                pairs.append((local_data(curve(list(ai)), p).minimal_ainvs, p))
+        rng.shuffle(pairs)
+        assert sum(p for _, p in pairs if p > 2) > 4 * seg
+
+        def character_sum(ai, p):
+            if p == 2:
+                a1, a2, a3, a4, a6 = ai
+                return 1 + sum((y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x
+                                - a4 * x - a6) % 2 == 0 for x in (0, 1) for y in (0, 1))
             b2, b4, b6, *_ = _invariant_kernel(ai)
-            for p in primes_in_range(3, 200):
-                want = p + 1 + sum(
-                    legendre(4 * x**3 + b2 * x * x + 2 * b4 * x + b6, p)
-                    for x in range(p))
-                assert _count_model_mod_p(ai, p) == want, (ai, p)
+            total = p + 1
+            for x in range(p):
+                v = (4 * x**3 + b2 * x * x + 2 * b4 * x + b6) % p
+                total += 0 if v == 0 else 1 if pow(v, (p - 1) // 2, p) == 1 else -1
+            return total
+
+        sizes = []
+        segment = reduction._table_segment
+
+        def spy(rows, size, out):
+            sizes.append((len(rows), size))
+            segment(rows, size, out)
+
+        monkeypatch.setattr(reduction, "_table_segment", spy)
+        got = _count_table(*zip(*pairs))
+        assert got == [character_sum(ai, p) for ai, p in pairs]
+        # segments of several primes hold at most _TABLE_SEGMENT x values,
+        # and a longer prime is a segment of its own
+        several = [size for n, size in sizes if n > 1]
+        assert len(several) > 1 and max(several) <= seg
+        assert {big, 20719, 20731} <= {size for n, size in sizes if n == 1}
+
+    def test_block_table_primes_and_finder_misses_reach_the_table_at_once(
+            self, monkeypatch):
+        # a block of primes to 3000 on y^2 = x^3 + x + 7, bad at 2 and at
+        # 1327 = 4 + 27 * 7^2, past the lane floor: the primes to the floor,
+        # the bad 1327 and the primes the scalar finder misses make one
+        # _count_table call, after the lanes
+        ai = (0, 0, 0, 1, 7)
+        assert bad_primes(curve(list(ai))) == {2, 1327}
+        primes = primes_in_range(2, 3000)
+        want = _count_chunk(ai, primes)
+        missed = set(primes_in_range(reduction._LANE_FLOOR + 1, 3000)[-5:])
+        calls = []
+        table, scalar = reduction._count_table, reduction._fp_finder_count
+        monkeypatch.setattr(reduction, "_count_table",
+                            lambda models, ps: calls.append(ps) or table(models, ps))
+        monkeypatch.setattr(reduction, "_fp_finder_count",
+                            lambda c4, c6, p, rng: None if p in missed
+                            else scalar(c4, c6, p, rng))
+        monkeypatch.setattr(reduction, "_lane_round", lambda ps, *_: [None] * len(ps))
+        assert _count_chunk(ai, primes) == want
+        [ps] = calls
+        floor = reduction._LANE_FLOOR
+        table_primes = [p for p in primes if p <= floor] + [1327]
+        assert list(ps[:len(table_primes)]) == table_primes
+        assert sorted(ps[len(table_primes):]) == sorted(missed)
 
     def test_unpinned_lane_rides_in_a_later_batch(self, monkeypatch):
         # one block of more than _LANES lanes: the lanes that the first
@@ -1066,7 +1125,7 @@ class TestCountArithmetic:
         disc = _invariant_kernel(ai)[6]
         primes = [p for p in primes_in_range(reduction._LANE_FLOOR + 1, 10**5)
                   if disc % p][:reduction._LANES + 3 * reduction._LANE_MIN]
-        want = [_count_model_mod_p(ai, p) for p in primes]
+        want = _count_table([ai] * len(primes), primes)
         batches = []
         real = reduction._lane_round
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellorders import reduction, walk
+from ellorders import reduction, survey, walk
 from ellorders.arith import legendre, primes_in_range, sqrt_mod
 from ellorders.curve import (
     QuadInt,
@@ -58,15 +58,14 @@ UNFACTORED_DISC = [0, 0, 0, 1, 100000002]
 
 
 def _lie_at_good_primes(monkeypatch):
-    """Make every good scalar count one past the top of the Hasse window."""
-    real = reduction._count_model_mod_p
+    """Make every good table count one past the top of the Hasse window."""
+    real = reduction._count_table
 
-    def lying(ai, p):
-        if _invariant_kernel(ai)[6] % p:
-            return p + 2 + math.isqrt(4 * p)
-        return real(ai, p)
+    def lying(models, primes):
+        return [p + 2 + math.isqrt(4 * p) if _invariant_kernel(ai)[6] % p else n
+                for ai, p, n in zip(models, primes, real(models, primes))]
 
-    monkeypatch.setattr(reduction, "_count_model_mod_p", lying)
+    monkeypatch.setattr(reduction, "_count_table", lying)
 
 
 def _twelve_twenty_table(X=10**4, workers=1):
@@ -155,7 +154,8 @@ class TestCongruenceSurvey:
 
     def test_parallel_determinism(self):
         # 2262 primes to 2*10^4: two blocks of CHUNK, so workers=3 runs a
-        # pool of two processes, and this process stores the same traces
+        # pool of two processes on two or more CPUs, and this process
+        # stores the same traces
         def stored():
             return [(c4, c6, ps.tolist(), aps.tolist())
                     for c4, c6, ps, aps in walk._TRACES.values()]
@@ -167,6 +167,13 @@ class TestCongruenceSurvey:
         assert pooled.total > reduction.CHUNK
         assert pooled == serial
         assert stored() == serial_store
+
+    def test_worker_count_below_one_refused(self, monkeypatch):
+        # refused before any prime is sieved
+        monkeypatch.setattr(survey, "primes_in_range", None)
+        for workers in (0, -3):
+            with pytest.raises(InputError, match="worker"):
+                _twelve_twenty_table(X=500, workers=workers)
 
     def test_non_minimal_model_gives_the_same_table(self):
         # scaled by u = 1/7, so 7 divides the model's discriminant, yet the
@@ -360,13 +367,13 @@ class TestGcdOrders:
             gcd_orders(curve(SIX_CURVE), 500)
 
     def test_wrong_count_at_a_bad_prime_raises(self, monkeypatch):
-        real = reduction._count_model_mod_p
+        real = reduction._count_table
 
-        def lying(ai, p):
-            n = real(ai, p)
-            return n + 1 if _invariant_kernel(ai)[6] % p == 0 else n
+        def lying(models, primes):
+            return [n + 1 if _invariant_kernel(ai)[6] % p == 0 else n
+                    for ai, p, n in zip(models, primes, real(models, primes))]
 
-        monkeypatch.setattr(reduction, "_count_model_mod_p", lying)
+        monkeypatch.setattr(reduction, "_count_table", lying)
         with pytest.raises(DataIntegrityError, match="reduced count"):
             gcd_orders(curve(SIX_CURVE), 500)
 
