@@ -21,9 +21,11 @@ count is a block of one prime.  walk.prime_walk and congruence_survey hand
 it blocks of a prime range through walk's store of Frobenius traces per
 twist class, which reads the traces the class already holds and passes on
 only the other primes; single counts and curves over Q(sqrt d) never touch
-the store.  Above the floor a block's good primes run at once as int64 numpy
-lanes (one draw per lane and round, Jacobian coordinates reduced only after
-products, one batched inversion per lane), in rounds of at least _LANE_MIN
+the store.  Above the floor a block's good primes run at once as numpy
+lanes (one draw per lane and round, Jacobian coordinates whose products are
+reduced before any sum, so int32 below p = 46,337 and int64 above, one
+Fermat ladder per lane for the baby rows' inversion and the twist's Euler
+criterion, another for the giant rows' x), in rounds of at least _LANE_MIN
 lanes; a lane a round leaves unpinned rides in a later batch of its block.
 The lanes no round pins go to the scalar finder, and the table takes only
 its misses.  The table counts all of a block's table primes in one call,
@@ -78,17 +80,15 @@ from .errors import (
 
 # The one table/finder boundary: the table counts every prime up to it, and
 # an order finder every good prime above it, in lane rounds where a block
-# has _LANE_MIN such primes and by the scalar finder otherwise.  With the
-# table counting a block in one call, 192 lanes in [1000, 2500] cost 20-37
-# us a prime with their fallbacks against the table's 31-45 us; in a block
-# of 64 the table leads in [500, 1000] (19-20 against 58-65 us) and in
-# [1000, 1500] (29-33 against 42-56 us).  A single count in (1000, 2500]
-# takes 77-80 us on the table and 46-61 us on the scalar finder.  A survey
-# block of every prime to 3000, or of CHUNK primes (to 17,900), runs
-# fastest with the floor at 1000: 9.2 and 28.2 ms, against 9.7-10.0 and
-# 29.3-31.2 ms at 1500 and 12.7-12.8 and 31.1-32.7 ms at 2500.  Survey
-# blocks hold up to CHUNK primes, so most lanes run 256 to a round (2-vCPU
-# Xeon, CPython 3.11, numpy 2.4).  Never below Mestre's bound 229.
+# has _LANE_MIN such primes and by the scalar finder otherwise.  On int32
+# lane rounds a survey block of every prime to 3000, or of CHUNK primes (to
+# 17,900), takes 4.9 and 19.1 ms with the floor at 500, 5.7 and 20.5 ms at
+# 1000, 6.3 and 20.1 ms at 1500 and 8.9 and 23.9 ms at 2500.  But at 500 a
+# walk block of 32 or 64 primes in [500, 1000] costs 30-39 us a prime
+# against the table's 15-17 us, a single count there 56 against 43 us, and
+# the corpus and density benchmark passes read the same at 500 as at 1000,
+# so the floor stays at 1000 (2-vCPU Xeon, CPython 3.11, numpy 2.4).
+# Never below Mestre's bound 229.
 _LANE_FLOOR = 1000
 
 # Points an order finder draws before its caller falls back to its oracle.
@@ -96,11 +96,13 @@ _FINDER_DRAWS = 40
 
 # Lanes per numpy round of a survey chunk's order finder.  More lanes spread
 # numpy's per-call overhead thinner, but the round's temporaries grow with
-# them: the two density surveys to 4*10^4 raise peak RSS by 1.2 MB with 128
-# or 256 lanes (mostly a fixed cost), by 2.3 MB with 512 and 8.9 MB with
-# 2048, and take 0.30, 0.25 and 0.23 s at 128, 256 and 512 lanes (2-vCPU
-# Xeon, CPython 3.11, numpy 2.4).
-_LANES = 256
+# them.  On int32 rounds the two density surveys to 4*10^4 take about 99,
+# 94 and 87 ms at 512, 768 and 1024 lanes, at a peak RSS of 39.97, 40.03
+# and 40.33 MB, where 256 int64 lanes took 126 ms at 40.11 MB (alternating
+# benchmark passes).  One 768-lane round peaks at 0.85 MB near 3*10^4, 2.8
+# MB near 10^6 and 4.6 MB near 10^7 (tracemalloc; 2-vCPU Xeon, CPython
+# 3.11, numpy 2.4).
+_LANES = 768
 
 # Lane rounds before an unpinned prime leaves the lanes.  A second draw for
 # the lanes the first leaves (14% near p = 2500, 4% near 3*10^4) costs less
@@ -110,9 +112,10 @@ _LANE_ROUNDS = 2
 CHUNK = 2048  # primes per survey job, and per prime-walk block at most
 
 # Fewest lanes a round runs on; a narrower batch goes to the scalar finder.
-# A round in [1000, 3750] costs 1.1-2.6 ms at any width from 2 to 64 lanes
-# (1.7-3.6 ms at 256), so 8 lanes cost 160-260 us a prime and 32 lanes
-# 40-75 us, where a scalar count there takes 45-125 us (same box).
+# An int32 round in [1000, 3750] costs 0.85-0.96 ms at any width from 2 to
+# 32 lanes (1.1 ms at 64, 1.8 ms at 256), so 16 lanes cost 53-78 us a
+# prime, 24 lanes 40-72 us and 32 lanes 29-54 us, where a scalar count
+# there takes 34-70 us, 37-43 us in the median (same box).
 _LANE_MIN = 32
 
 # Enumeration bound for the quadratic-field residue degree two oracle.
@@ -934,40 +937,52 @@ def _fp_finder_count(c4, c6, p, rng):
 
 # ---------------------------------------------------------------------------
 # The same finder over many primes at once: each good p of a survey chunk
-# above the lane floor is one int64 lane holding its own p, a4 and a6, and
-# every group operation is a handful of numpy calls across the lanes.  This
-# is the third group law on purpose: a 256-lane round costs 10-14 us per
-# prime near 2500, 17-23 us near 3*10^4, 34-50 us near 10^6 and 69-75 us
-# near 10^7, where the scalar finder on _fp_law costs 90-470 us.  Two lanes
-# already cost 1.1-1.8 ms a round near 10^3 and 5-7 ms near 10^7.
+# above the lane floor is one lane holding its own p, a4 and a6, and every
+# group operation is a handful of numpy calls across the lanes.  This is the
+# third group law on purpose: a 768-lane round costs about 7 us per prime
+# near 3*10^4, 9.5 us near 6*10^4, 13 us near 10^5, 21 us near 10^6 and
+# 31 us near 10^7, where the scalar finder on _fp_law costs 90-470 us.  Two
+# lanes already cost 0.8-1.2 ms a round from 10^3 to 3.6*10^4.
 # Points are Jacobian (X : Y : Z), x = X/Z^2 and y = Y/Z^3, with Z = 0 the
 # identity; both formulas below leave Z = 0 on a degenerate input, and
-# Z = 0 then stays 0 along a chain.  Coordinates stay reduced mod p <=
-# COUNT_CEILING between operations, so no intermediate reaches 12 p^2 < 2^63.
+# Z = 0 then stays 0 along a chain.  Coordinates stay reduced mod P between
+# operations and every product is reduced before it meets a sum, so no
+# intermediate reaches P^2 + 8P in magnitude.  A round runs its rows in
+# int32 while its largest P has P^2 + 8P < 2^31, through P = 46,327, where
+# a 256-lane mulmod takes about 2.2 us against int64's 2.7 us, and in int64
+# above, exact to COUNT_CEILING.
+
+
+def _lane_dtype(top):
+    """The dtype of a lane round whose largest prime is top: int32 while
+    P^2 + 8P < 2^31 (through 46,327), else int64."""
+    return np.int32 if top * top + 8 * top < 2**31 else np.int64
 
 
 def _lane_dbl(X, Y, Z, A, P):
     """2 (X : Y : Z) on y^2 = x^3 + A x + B, lane-wise mod P.
 
-    Only products are reduced, never sums: with inputs in [0, P), every
-    intermediate is below 12 P^2 in magnitude (M (S - X3) - 8 YY^2, the
-    largest, lies in (-9 P^2, P^2)), so below 2^63 at P <= COUNT_CEILING.
+    Each product is reduced before it meets a sum: with inputs in [0, P),
+    every intermediate is below P^2 + 8P in magnitude (M (S - X3) -
+    8 (YY^2 mod P), the lowest, lies in (-P^2 - 8P, P^2)), so int32 rows
+    are exact while P^2 + 8P < 2^31 and int64 rows to COUNT_CEILING.
     """
     YY, ZZ = Y * Y % P, Z * Z % P
-    S = 4 * X * YY % P
-    M = (3 * X * X + A * (ZZ * ZZ % P)) % P
+    S = 4 * (X * YY % P) % P
+    M = (3 * (X * X % P) + A * (ZZ * ZZ % P)) % P
     X3 = (M * M - (S + S)) % P
-    Y3 = (M * (S - X3) - 8 * YY * YY) % P
-    return X3, Y3, (Y + Y) * Z % P
+    Y3 = (M * (S - X3) - 8 * (YY * YY % P)) % P
+    return X3, Y3, 2 * (Y * Z % P) % P
 
 
 def _lane_madd(X, Y, Z, x2, y2, P):
     """(X : Y : Z) + (x2, y2), Jacobian plus affine, lane-wise mod P.
 
-    Equal x (a doubling, or a sum that is the identity) gives Z = 0.  Only
-    products are reduced, never sums: with inputs in [0, P), every
-    intermediate is below 12 P^2 in magnitude (R (V - X3) - Y HHH, the
-    largest, lies in (-2 P^2, P^2)), so below 2^63 at P <= COUNT_CEILING.
+    Equal x (a doubling, or a sum that is the identity) gives Z = 0.  Each
+    product is reduced before it meets a sum: with inputs in [0, P), every
+    intermediate lies in (-P^2 - P, P^2) (R (V - X3) - (Y HHH mod P), the
+    lowest), so int32 rows are exact while P^2 + 8P < 2^31 and int64 rows
+    to COUNT_CEILING.
     """
     ZZ = Z * Z % P
     H = (x2 * ZZ - X) % P
@@ -976,7 +991,7 @@ def _lane_madd(X, Y, Z, x2, y2, P):
     HHH = HH * H % P
     V = X * HH % P
     X3 = (R * R - HHH - (V + V)) % P
-    Y3 = (R * (V - X3) - Y * HHH) % P
+    Y3 = (R * (V - X3) - Y * HHH % P) % P
     return X3, Y3, Z * H % P
 
 
@@ -989,25 +1004,30 @@ def _lane_pow(a, e, P):
     return out
 
 
-def _lane_affine(X, Y, Z, P):
-    """Affine (x, y) of rows x lanes Jacobian points, one inversion per lane.
+def _lane_affine(X, Z, P, f):
+    """x = X/Z^2 of rows x lanes Jacobian points, 1/Z, and (f|P) per lane
+    as 1 or P - 1, f nonzero, all from one Fermat ladder per lane.
 
-    Prefix products along the rows, one Fermat power per lane, then back.
-    A point with Z = 0 gets a meaningless x, y; the others are exact.
+    With z the product of a lane's Z's, v = f (f z^2)^((P-3)/2) is
+    (f|P) z^-2, so (f|P) = v z^2 and 1/z = v (f|P) z; prefix products
+    along the rows turn 1/z into each 1/Z.  A caller takes y = Y/Z^3 only
+    where it reads one.  A point with Z = 0 gets a meaningless x and 1/Z;
+    the others are exact.
     """
     Z = np.where(Z == 0, 1, Z)
-    pre = np.empty_like(Z)
-    pre[0] = Z[0]
+    zi = np.empty_like(Z)  # the prefix products, then 1/Z from the last row up
+    zi[0] = Z[0]
     for r in range(1, len(Z)):
-        pre[r] = pre[r - 1] * Z[r] % P
-    inv = _lane_pow(pre[-1], P - 2, P)
-    zi = np.empty_like(Z)
+        zi[r] = zi[r - 1] * Z[r] % P
+    zz = zi[-1] * zi[-1] % P
+    v = f * _lane_pow(f * zz % P, (P - 3) // 2, P) % P
+    chi = v * zz % P
+    inv = v * chi % P * zi[-1] % P
     for r in range(len(Z) - 1, 0, -1):
-        zi[r] = inv * pre[r - 1] % P
+        zi[r] = inv * zi[r - 1] % P
         inv = inv * Z[r] % P
     zi[0] = inv
-    zi2 = zi * zi % P
-    return X * zi2 % P, Y * (zi2 * zi % P) % P
+    return X * (zi * zi % P) % P, zi, chi
 
 
 def _lane_round(ps, c4s, c6s, rng):
@@ -1021,44 +1041,48 @@ def _lane_round(ps, c4s, c6s, rng):
     else giant steps k P, k = lo + m + i (2m + 1), are matched against the
     baby x's.  A lane is pinned when exactly one candidate is left.  None
     marks f = 0, a degenerate addition or several candidates; an empty set
-    raises.
+    raises.  Rows are _lane_dtype(max(ps)).
     """
     L = len(ps)
-    P = np.array(ps, dtype=np.int64)
-    a4 = np.array([-27 * c % p for c, p in zip(c4s, ps)], dtype=np.int64)
-    a6 = np.array([-54 * c % p for c, p in zip(c6s, ps)], dtype=np.int64)
+    dt = _lane_dtype(max(ps))
+    P64 = np.array(ps, dtype=np.int64)
+    P = P64.astype(dt)
+    a4 = np.array([-27 * c % p for c, p in zip(c4s, ps)], dtype=dt)
+    a6 = np.array([-54 * c % p for c, p in zip(c6s, ps)], dtype=dt)
     bits = rng.getrandbits(32 * L).to_bytes(4 * L, "little")
-    x = np.frombuffer(bits, dtype=np.uint32).astype(np.int64) * P >> 32
-    f = ((x * x % P + a4) * x + a6) % P
+    x = (np.frombuffer(bits, dtype=np.uint32).astype(np.int64) * P64 >> 32).astype(dt)
+    f = ((x * x % P + a4) % P * x + a6) % P
     drawn = f != 0
     f[~drawn] = 1
     ff = f * f % P
     A = a4 * ff % P
-    px, py, one = x * f % P, ff, np.ones(L, dtype=np.int64)
-    twisted = _lane_pow(f, (P - 1) // 2, P) != 1
-    lo, hi = _hasse_window(P)
+    px, py, one = x * f % P, ff, np.ones(L, dtype=dt)
+    lo, hi = _hasse_window(P64)
     m = math.isqrt(int((hi - lo).max()) // 2) + 1
     lanes = np.arange(L)
 
     # Row r holds (r + 1) P for r <= m, and row m + 1 the stride (2m + 1) P.
-    X, Y, Z = (np.empty((m + 2, L), dtype=np.int64) for _ in range(3))
+    X, Y, Z = (np.empty((m + 2, L), dtype=dt) for _ in range(3))
     X[0], Y[0], Z[0] = px, py, one
     X[1], Y[1], Z[1] = _lane_dbl(px, py, one, A, P)
     for r in range(2, m + 1):
         X[r], Y[r], Z[r] = _lane_madd(X[r - 1], Y[r - 1], Z[r - 1], px, py, P)
     X[m + 1], Y[m + 1], Z[m + 1] = _lane_madd(
         *_lane_dbl(X[m - 1], Y[m - 1], Z[m - 1], A, P), px, py, P)
-    bx, by = _lane_affine(X, Y, Z, P)
+    # the twist's Euler criterion rides on the baby rows' ladder
+    bx, zi, chi = _lane_affine(X, Z, P, f)
+    by = Y * (zi * zi % P * zi % P) % P
+    twisted = chi != 1
     # Only affine rows are read from here on; dropping each stage's
     # temporaries as it ends keeps a round's peak memory down by a third.
     stride_degenerate = Z[m + 1] == 0
-    del X, Y, Z
+    del X, Y, Z, zi
 
     # First x collision x(i P) = x(j P), i < j <= m + 1: the order is i + j.
     # A degenerate add j P + P means x(j P) = x(P), a collision at j, so
     # the meaningless rows after it never come first.
     K = m + 2
-    keys = np.sort(bx[:m + 1].T * K + np.arange(1, m + 2), axis=1)
+    keys = np.sort(bx[:m + 1].T * K + np.arange(1, m + 2, dtype=dt), axis=1)
     later = np.where(keys[:, 1:] // K == keys[:, :-1] // K, keys[:, 1:] % K, K)
     at = later.argmin(axis=1)
     j = later[lanes, at]
@@ -1087,32 +1111,42 @@ def _lane_round(ps, c4s, c6s, rng):
         G = tuple(np.where(nz & ~started, b, g) for b, g in zip((dx, dy, one), G))
         started |= nz
 
-    # Giant steps, then a match of x(k P) against the baby rows j <= m.
+    # Giant steps, affine in x only, then a match of x(k P) against the
+    # baby rows j <= m; y(k P) is taken only where an x matched.
     span = 2 * m + 1
     giants = (hi - lo) // span + 1
-    GX, GY, GZ = (np.empty((int(giants.max()), L), dtype=np.int64) for _ in range(3))
+    GX, GY, GZ = (np.empty((int(giants.max()), L), dtype=dt) for _ in range(3))
     GX[0], GY[0], GZ[0] = G
     for i in range(1, len(GX)):
         GX[i], GY[i], GZ[i] = _lane_madd(
             GX[i - 1], GY[i - 1], GZ[i - 1], bx[m + 1], by[m + 1], P)
     degenerate = (GZ[giants - 1, lanes] == 0) | stride_degenerate
-    gx, gy = _lane_affine(GX, GY, GZ, P)
-    del GX, GY, GZ
-    off = (lanes * (int(P.max()) + 1))[:, None]
+    gx, gzi, _ = _lane_affine(GX, GZ, P, one)
+    del GX, GZ
+    # keys lane (max P + 1) + x, which int32 holds for up to 46,354 lanes
+    off = np.arange(L, dtype=dt)[:, None] * (int(P.max()) + 1)
+    gkeys = gx.T + off
+    del gx
     table = (bx[:m].T + off).ravel()
     order = table.argsort()
     sorted_keys = table[order]
-    gkeys = gx.T + off
-    pos = np.minimum(np.searchsorted(sorted_keys, gkeys), len(table) - 1)
-    hit = sorted_keys[pos] == gkeys
-    jj = order[pos] % m
-    k = k0[:, None] + span * np.arange(len(gx))
-    ann = np.where(by[jj, lanes[:, None]] == gy.T, k - (jj + 1), k + (jj + 1))
-    valid = hit & (ann >= lo[:, None]) & (ann <= hi[:, None])
-    found = np.where(collided, found, valid.sum(axis=1))
-    n = np.where(collided, n, np.where(valid, ann, 0).sum(axis=1))
+    del table
+    pos = np.minimum(np.searchsorted(sorted_keys, gkeys), len(sorted_keys) - 1)
+    li, gi = np.nonzero(sorted_keys[pos] == gkeys)
+    del sorted_keys, gkeys
+    # at a hit x(k P) = x(jj P), so (k - jj) P or (k + jj) P is 0 as the
+    # y's agree or not
+    jj = order[pos[li, gi]] % m + 1
+    Ph, zh = P[li], gzi[gi, li]
+    k = k0[li] + span * gi
+    ann = np.where(by[jj - 1, li] == GY[gi, li] * (zh * zh % Ph * zh % Ph) % Ph,
+                   k - jj, k + jj)
+    valid = ~collided[li] & (ann >= lo[li]) & (ann <= hi[li])
+    li, ann = li[valid], ann[valid]
+    found = np.where(collided, found, np.bincount(li, minlength=L))
+    n[li] = ann  # exact where found is 1, the only n read
 
-    n = np.where(twisted, 2 * P + 2 - n, n)
+    n = np.where(twisted, 2 * P64 + 2 - n, n)
     ok = drawn & (collided | ~degenerate)
     if (ok & (found == 0)).any():
         p = int(P[ok & (found == 0)][0])

@@ -15,11 +15,14 @@ the places above that prime; every other prime is counted place by place.
 Two models with one j other than 0 and 1728 are twists: c4 = t^2 c4' and
 c6 = t^3 c6' for a rational t, so u = c4 c6 c4' c6' = t^5 (c4' c6')^2 is in
 t's square class, and a_p = (u|p) a_p' at every odd p prime to u and to the
-model's discriminant, with no factoring.  A class keeps the first model it
-counted as its reference, (c4, c6) and its traces at good odd primes, and
-every model of the class reads and writes them through that character; the
-reference itself reads with none.  Curves with j = 0 or 1728 bypass the
-store.
+model's discriminant, with no factoring.  At j = 0 and 1728 one j holds
+cubic, quartic and sextic twists too, and a model is a quadratic twist by
+s of the class's reference exactly when c6 = s^3 c6' (j = 0, so u = c6 c6' is
+in s's square class) or c4 = s^2 c4' (j = 1728, u = s c4'^2; s and -s give
+one curve there); any other model bypasses the store.  A class keeps the
+first model it counted as its reference, (c4, c6) and its traces at good
+odd primes, and every model of the class reads and writes them through
+that character; the reference itself reads with none.
 
 The store is its own module, not part of reduction, because compiling
 reduction.py is the high-water mark of importing the package: the same code
@@ -30,6 +33,7 @@ holds.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict, deque
 from fractions import Fraction
@@ -72,13 +76,39 @@ _LOCK = threading.Lock()
 _TRACE_BYTES = 1 << 19
 
 
-def _trace_signs(c4, c6, disc, ref, primes):
+def _twist_unit(c4, c6, ref):
+    """u with a_p = (u|p) a_p' at good odd p prime to u, a_p' the trace of
+    the reference ref = (c4', c6') of (c4, c6)'s class; 1 for the reference
+    itself, None for a model that is no quadratic twist of it."""
+    if (c4, c6) == ref:
+        return 1
+    if c4 and c6:
+        return c4 * c6 * ref[0] * ref[1]
+    if c4 == 0:
+        # c6 / c6' = s^3 exactly when c6 c6'^2 = (s c6')^3
+        n = abs(c6 * ref[1] ** 2)
+        return c6 * ref[1] if _icbrt(n) ** 3 == n else None
+    # c4 / c4' = s^2 exactly when c4 c4' = (s c4')^2
+    n = c4 * ref[0]
+    return math.isqrt(n) * ref[0] if n > 0 and math.isqrt(n) ** 2 == n else None
+
+
+def _icbrt(n):
+    """floor(n^(1/3)) for n > 0, by Newton's method on integers."""
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
+def _trace_signs(u, disc, primes):
     """(u|p) per prime as int64, where the class's trace at p is the model's
-    up to that sign; 0 at p = 2, at p dividing disc, and off the reference
-    at p dividing u.  The reference's own signs are all 1 there."""
+    up to that sign; 0 at p = 2, at p dividing disc, and at p dividing u.
+    The reference's own u is 1, and its signs are all 1 there."""
     sign = np.array([p > 2 and disc % p != 0 for p in primes], dtype=np.int64)
-    if ref != (c4, c6):
-        u = c4 * c6 * ref[0] * ref[1]
+    if u != 1:
         P = np.array(primes, dtype=np.int64)
         chi = _lane_pow(np.array([u % p for p in primes], dtype=np.int64),
                         (P - 1) // 2, P)
@@ -136,16 +166,17 @@ def _stored_counts(ai, blocks, mapper=map):
     list, or a process pool's map, which takes every block's misses at
     once; the reads and writes run in this process either way."""
     *_, c4, c6, disc = _invariant_kernel(ai)
-    if c4 == 0 or c6 == 0:
-        return mapper(_count_chunk, repeat(ai), blocks)
     key = Fraction(c4**3, disc)
     entry = _TRACES.get(key)
     ref = entry[:2] if entry else (c4, c6)
+    u = _twist_unit(c4, c6, ref)
+    if u is None:
+        return mapper(_count_chunk, repeat(ai), blocks)
 
     reads = deque()  # (block, sign, known) of the blocks sent, not yet filled
 
     def misses(block):
-        sign = _trace_signs(c4, c6, disc, ref, block)
+        sign = _trace_signs(u, disc, block)
         known = _read_traces(key, ref, block, sign)
         reads.append((block, sign, known))
         return [p for p, n in zip(block, known) if n is None]

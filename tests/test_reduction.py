@@ -982,39 +982,138 @@ class TestCountArithmetic:
         assert _count_chunk(ai, [q]) == [ld.reduced_count]
 
     def test_lane_law_matches_generic_law_near_count_ceiling(self):
-        # the affine values of the lazily reduced Jacobian formulas against
-        # _pt_add over F_p, at the largest prime below COUNT_CEILING, for
-        # every input P - 1 and for a seeded mix with P - 1 planted
-        P = primes_in_range(reduction.COUNT_CEILING - 100, reduction.COUNT_CEILING)[-1]
-        rng = random.Random(14)
-        inputs = [[P - 1] * 6]
-        for _ in range(300):
-            inputs.append([rng.choice((P - 1, rng.randrange(1, P))) for _ in range(6)])
-        X, Y, Z, A, x2, y2 = (np.array(c, dtype=np.int64) for c in zip(*inputs))
-        Pa = np.full(len(inputs), P, dtype=np.int64)
-        F = _fq_field(P, 0)
+        # the affine values of the Jacobian formulas against _pt_add over
+        # F_p, in the dtype a round at P runs, at the last int32 prime
+        # 46,327 and the largest prime below COUNT_CEILING, for every input
+        # P - 1 and for a seeded mix with P - 1 planted; each output is
+        # reduced and keeps the dtype
+        assert reduction._lane_dtype(46327) is np.int32
+        assert reduction._lane_dtype(46337) is np.int64
+        top = primes_in_range(reduction.COUNT_CEILING - 100, reduction.COUNT_CEILING)[-1]
+        for P in (46327, top):
+            dt = reduction._lane_dtype(P)
+            rng = random.Random(14)
+            inputs = [[P - 1] * 6]
+            for _ in range(300):
+                inputs.append([rng.choice((P - 1, rng.randrange(1, P))) for _ in range(6)])
+            X, Y, Z, A, x2, y2 = (np.array(c, dtype=dt) for c in zip(*inputs))
+            Pa = np.full(len(inputs), P, dtype=dt)
+            F = _fq_field(P, 0)
 
-        def affine(Xs, Ys, Zs):
-            out = []
-            for x, y, z in zip(Xs.tolist(), Ys.tolist(), Zs.tolist()):
-                zi = pow(z, -1, P) if z else 0
-                out.append(None if z == 0 else
-                           ((x * zi * zi % P, 0), (y * zi**3 % P, 0)))
-            return out
+            def affine(Xs, Ys, Zs):
+                out = []
+                for c in (Xs, Ys, Zs):
+                    assert c.dtype == dt and c.min() >= 0 and c.max() < P
+                for x, y, z in zip(Xs.tolist(), Ys.tolist(), Zs.tolist()):
+                    zi = pow(z, -1, P) if z else 0
+                    out.append(None if z == 0 else
+                               ((x * zi * zi % P, 0), (y * zi**3 % P, 0)))
+                return out
 
-        before = affine(X, Y, Z)
-        dbl = affine(*reduction._lane_dbl(X, Y, Z, A, Pa))
-        madd = affine(*reduction._lane_madd(X, Y, Z, x2, y2, Pa))
-        for i, pt in enumerate(before):
-            ai = ((0, 0), (0, 0), (0, 0), (int(A[i]), 0), (0, 0))
-            assert dbl[i] == _pt_add(pt, pt, ai, F), i
-            other = ((int(x2[i]), 0), (int(y2[i]), 0))
-            if other[0] == pt[0]:  # a doubling or the identity: Z = 0
-                assert madd[i] is None, i
-            else:
-                assert madd[i] == _pt_add(pt, other, ai, F), i
-        # the all P - 1 lane is a sum with the negative: the identity
-        assert madd[0] is None
+            before = affine(X, Y, Z)
+            dbl = affine(*reduction._lane_dbl(X, Y, Z, A, Pa))
+            madd = affine(*reduction._lane_madd(X, Y, Z, x2, y2, Pa))
+            for i, pt in enumerate(before):
+                ai = ((0, 0), (0, 0), (0, 0), (int(A[i]), 0), (0, 0))
+                assert dbl[i] == _pt_add(pt, pt, ai, F), (P, i)
+                other = ((int(x2[i]), 0), (int(y2[i]), 0))
+                if other[0] == pt[0]:  # a doubling or the identity: Z = 0
+                    assert madd[i] is None, (P, i)
+                else:
+                    assert madd[i] == _pt_add(pt, other, ai, F), (P, i)
+            # the all P - 1 lane is a sum with the negative: the identity
+            assert madd[0] is None
+
+    @staticmethod
+    def _round_dtypes(monkeypatch):
+        """Spy on the lane rounds and the kernels they call: per round, its
+        largest prime and the dtypes of every array a kernel took or gave."""
+        rounds = []
+        real_round = reduction._lane_round
+
+        def lane_round(ps, *args):
+            rounds.append((max(ps), set()))
+            return real_round(ps, *args)
+
+        def spied(real):
+            def spy(*args):
+                out = real(*args)
+                for a in args + (out if isinstance(out, tuple) else (out,)):
+                    if isinstance(a, np.ndarray):
+                        rounds[-1][1].add(a.dtype)
+                return out
+            return spy
+
+        monkeypatch.setattr(reduction, "_lane_round", lane_round)
+        for name in ("_lane_dbl", "_lane_madd", "_lane_affine", "_lane_pow"):
+            monkeypatch.setattr(reduction, name, spied(getattr(reduction, name)))
+        return rounds
+
+    @staticmethod
+    def _random_round(rng, lo, hi, n):
+        """n primes in [lo, hi] and per-lane c4, c6 of random curves good there."""
+        ps = sorted(rng.sample(primes_in_range(lo, hi), n))
+        c4s, c6s = [], []
+        for p in ps:
+            while True:
+                c4, c6 = rng.randrange(-10**9, 10**9), rng.randrange(-10**9, 10**9)
+                if (c4**3 - c6**2) % p:
+                    break
+            c4s.append(c4)
+            c6s.append(c6)
+        return ps, c4s, c6s
+
+    def test_int32_and_int64_rows_give_one_round(self, monkeypatch):
+        # seeded rounds on random short curves, p from 1000 to the last
+        # int32 prime 46,327, return the same list on int32 rows as on
+        # int64 rows; a round whose largest prime is 46,337 runs int64
+        rng = random.Random(29)
+        rounds = [self._random_round(rng, lo, 46327, n)
+                  for lo, n in ((1000, 300), (30000, 200), (44000, 150), (46000, 20))]
+        straddle = primes_in_range(46300, 46337)
+        assert straddle[-2:] == [46327, 46337]
+        rounds.append((straddle, [0] * len(straddle), [7] * len(straddle)))
+        seen = self._round_dtypes(monkeypatch)
+        got = [reduction._lane_round(*r, random.Random(i)) for i, r in enumerate(rounds)]
+        assert [dts for _, dts in seen] == [{np.dtype(np.int32)}] * 4 + [{np.dtype(np.int64)}]
+        assert sum(n is not None for g in got for n in g) > 0.8 * sum(map(len, got))
+        monkeypatch.setattr(reduction, "_lane_dtype", lambda top: np.int64)
+        assert [reduction._lane_round(*r, random.Random(i))
+                for i, r in enumerate(rounds)] == got
+        assert all(dts == {np.dtype(np.int64)} for _, dts in seen[5:])
+
+    def test_int32_round_keeps_its_rows_int32(self, monkeypatch):
+        # every array the lane kernels take and give in a round whose
+        # largest prime is 46,327 stays int32, so a silent upcast (numpy's
+        # legacy promotion differs from NEP 50) shows here; the round with
+        # 46,337 runs int64 throughout
+        ai = TestOrderFinder.CURVES[3]
+        *_, c4, c6, disc = _invariant_kernel(ai)
+        seen = self._round_dtypes(monkeypatch)
+        for top, dt in ((46327, np.int32), (46337, np.int64)):
+            ps = [p for p in primes_in_range(45000, top) if disc % p]
+            assert ps[-1] == top
+            got = reduction._lane_round(ps, [c4] * len(ps), [c6] * len(ps), random.Random(3))
+            assert seen[-1] == (top, {np.dtype(dt)})
+            assert sum(n is not None for n in got) > 0.8 * len(ps)
+
+    def test_chunk_across_the_int32_bound_matches_table(self, monkeypatch):
+        # a block of good primes to 47800 in rounds of 64 lanes: an int32
+        # round below 46,327, a round from there to 46,337, which runs
+        # int64, then int64 rounds; carried lanes ride in later rounds
+        ai = TestOrderFinder.CURVES[3]
+        disc = _invariant_kernel(ai)[6]
+        good = [p for p in primes_in_range(40000, 47800) if disc % p]
+        primes = good[good.index(46337) - 127:]
+        assert 46327 in primes[64:128] and primes[127] == 46337
+        want = _count_table([ai] * len(primes), primes)
+        monkeypatch.setattr(reduction, "_LANES", 64)
+        seen = self._round_dtypes(monkeypatch)
+        assert _count_chunk(ai, primes) == want
+        assert all(dts == {np.dtype(np.int32 if top <= 46327 else np.int64)}
+                   for top, dts in seen)
+        assert seen[1][0] == 46337
+        assert {top <= 46327 for top, _ in seen} == {True, False}
 
     def test_lane_windows_match_scalar_windows(self):
         top = reduction.COUNT_CEILING

@@ -72,17 +72,29 @@ class TestTraceStore:
             list(walk.prime_walk(c, 2, 2000))
             got, counted = _walked(tw, 2000, monkeypatch)
             assert got == _cold(tw, 2000), rec.label
-            if 0 not in _invariant_kernel(_ints(c))[4:6]:
-                assert len(counted) < len(got) // 4, rec.label
+            assert len(counted) < len(got) // 4, rec.label
 
-    def test_j_0_and_1728_bypass_the_store(self, monkeypatch):
-        for c in (curve([0, 0, 0, 0, -27]), curve([0, 0, 1, 0, 0]),
-                  curve([0, 0, 0, -1, 0]), curve([0, 0, 0, 4, 0])):
-            for e in (c, quadratic_twist(c, -3), quadratic_twist(c, 5)):
+    def test_j_0_and_1728_quadratic_twists_share_a_class(self, monkeypatch):
+        # y^2 = x^3 + 1 and y^2 = x^3 + x are the references of the j = 0
+        # and j = 1728 classes; their quadratic twists, on models with
+        # c6 = s^3 c6' or c4 = s^2 c4' (s = -3, 5, -1, and s = 2 on a
+        # scaled model), read the reference's traces, and equal counts made
+        # without the store
+        for c in (curve([0, 0, 0, 0, 1]), curve([0, 0, 0, 1, 0])):
+            list(walk.prime_walk(c, 2, 1000))
+            for e in (quadratic_twist(c, -3), quadratic_twist(c, 5),
+                      quadratic_twist(c, -1), transformed(quadratic_twist(c, 2), u=3)):
                 got, counted = _walked(e, 1000, monkeypatch)
                 assert got == _cold(e, 1000)
-                assert counted == [p for p, _ in got]
-        assert not walk._TRACES
+                assert len(counted) < len(got) // 4
+        assert len(walk._TRACES) == 2
+        # cubic, quartic and sextic twists share no class: y^2 = x^3 + 2,
+        # y^2 = x^3 - 4x and y^2 = x^3 + 2x read nothing and store nothing
+        for e in (curve([0, 0, 0, 0, 2]), curve([0, 0, 0, -4, 0]), curve([0, 0, 0, 2, 0])):
+            got, counted = _walked(e, 1000, monkeypatch)
+            assert got == _cold(e, 1000)
+            assert counted == [p for p, _ in got]
+        assert len(walk._TRACES) == 2
 
     def test_primes_dividing_u_are_counted(self, monkeypatch):
         # c6 = 9504 = 2^5 3^3 11 while the discriminant is 2^4 3^6 5, so 11

@@ -7,8 +7,14 @@ temporary directory, so no stale __pycache__ or untracked file of a working
 tree rides along, and runs each export's `perfbench/run.py --trace 0` N
 times, alternately: A first in odd pairs, B first in even ones.  It prints
 every pair's end-to-end metrics, then for each metric both sides' median and
-quartiles, the change of the medians, and in how many pairs B was better,
-as BENCHMARK.json's "better" says.  A tie is no win.
+quartiles, the change of the medians, in how many pairs B was better, as
+BENCHMARK.json's "better" says (a tie is no win), and a verdict:
+
+    gain   B won at least 9 in 10 of the pairs, and its median is better
+           than A's by more than A's q3 - q1;
+    worse  B's median is worse than A's by more than the metric's "bound",
+           read as a share of A's median;
+    same   otherwise.
 """
 
 from __future__ import annotations
@@ -56,32 +62,37 @@ def quartiles(values):
     return q1, med, q3
 
 
-def summarize(a_runs, b_runs, better):
-    """Per metric of better ({name: "lower" or "higher"}): both sides'
-    quartiles and the pairs B won, from runs paired by position."""
+def summarize(a_runs, b_runs, metrics):
+    """Per metric of metrics ({name: {"better": "lower" or "higher",
+    "bound": share}}, as BENCHMARK.json lists them): both sides' quartiles,
+    the pairs B won, from runs paired by position, and the verdict."""
     out = {}
-    for name, way in better.items():
+    for name, spec in metrics.items():
         a = [r[name] for r in a_runs]
         b = [r[name] for r in b_runs]
-        sign = 1 if way == "lower" else -1
-        out[name] = {
-            "a": quartiles(a),
-            "b": quartiles(b),
-            "b_wins": sum(sign * (x - y) > 0 for x, y in zip(a, b)),
-            "pairs": len(a),
-        }
+        sign = 1 if spec["better"] == "lower" else -1
+        qa, qb = quartiles(a), quartiles(b)
+        wins = sum(sign * (x - y) > 0 for x, y in zip(a, b))
+        gained = sign * (qa[1] - qb[1])
+        if 10 * wins >= 9 * len(a) and gained > qa[2] - qa[0]:
+            verdict = "gain"
+        elif -gained > spec["bound"] * abs(qa[1]):
+            verdict = "worse"
+        else:
+            verdict = "same"
+        out[name] = {"a": qa, "b": qb, "b_wins": wins, "pairs": len(a), "verdict": verdict}
     return out
 
 
 def render(summary):
     lines = [f"{'metric':<12} {'A median [q1, q3]':<34} {'B median [q1, q3]':<34} "
-             f"{'change':>8} {'B wins':>7}"]
+             f"{'change':>8} {'B wins':>7}  verdict"]
     for name, s in summary.items():
         (a1, am, a3), (b1, bm, b3) = s["a"], s["b"]
         change = (bm - am) / am * 100 if am else float("nan")
         lines.append(f"{name:<12} {am:<10.6g} [{a1:.6g}, {a3:.6g}]".ljust(47)
                      + f" {bm:<10.6g} [{b1:.6g}, {b3:.6g}]".ljust(35)
-                     + f" {change:>+7.1f}% {s['b_wins']:>3}/{s['pairs']}")
+                     + f" {change:>+7.1f}% {s['b_wins']:>3}/{s['pairs']}  {s['verdict']}")
     return "\n".join(lines)
 
 
@@ -95,7 +106,7 @@ def main(argv=None):
     ap.add_argument("--seconds", type=float, default=10)
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {}
         for side, rev in (("A", args.rev_a), ("B", args.rev_b)):
@@ -107,10 +118,10 @@ def main(argv=None):
                 runs[side].append(run(trees[side], args.workload, args.seed, args.seconds))
             print(f"pair {i:>2}  " + "  ".join(
                 f"{name} {runs['A'][-1][name]:.6g} -> {runs['B'][-1][name]:.6g}"
-                for name in better), flush=True)
+                for name in metrics), flush=True)
     print(f"{args.workload}: A = {args.rev_a}, B = {args.rev_b}, {args.pairs} pairs, "
           f"seed {args.seed}, {args.seconds:g} s a run")
-    print(render(summarize(runs["A"], runs["B"], better)))
+    print(render(summarize(runs["A"], runs["B"], metrics)))
     return 0
 
 
