@@ -188,6 +188,15 @@ def _sqrt_mod(a: int, p: int):
     return min(r, p - r)
 
 
+def _bound(value, least, name: str):
+    """Refuse value unless it is an integer (numpy's included) >= least."""
+    if not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        floor = "positive" if least == 1 else f"at least {least}"
+        raise InputError(f"{name} must be {floor}, got {value}")
+
+
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """Primes p with lo <= p <= hi, ascending, from one sieve of [0, hi].
 

@@ -53,6 +53,7 @@ import numpy as np
 
 from .arith import (
     COUNT_CEILING,
+    _bound,
     _euler,
     _sqrt_mod,
     factorize,
@@ -590,6 +591,7 @@ class QuadraticPrimeSplitting:
 
 def _check_field(d: int) -> None:
     """Refuse a d that names no quadratic field Q(sqrt d)."""
+    _bound(d, -math.inf, "d")  # any integer
     if d in (0, 1) or not _squarefree(d):
         raise InputError(f"need a nontrivial squarefree d, got {d}")
 

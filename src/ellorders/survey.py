@@ -10,20 +10,19 @@ walk.prime_walk, which reads the same store, and gcd_orders_quadratic folds
 walk.quadratic_walk.  A table stores each scanned prime once, in its cell;
 a check's report keeps only its violations, each with the exact prime
 involved, and the number of primes checked.  Every bound and modulus is
-refused by _bound unless it is an integer at or above its least value.
+refused by arith._bound unless it is an integer at or above its least value.
 Scans are pure: the store only caches counts.
 """
 
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 
-from .arith import _euler, factorize, is_prime, legendre, primes_in_range
+from .arith import _bound, _euler, factorize, is_prime, legendre, primes_in_range
 from .curve import (
     CurveK,
     CurveQ,
@@ -40,15 +39,6 @@ from .reduction import (
 )
 from .torsion import division_value_mod, quadratic_torsion_bound
 from .walk import _stored_counts, prime_walk
-
-
-def _bound(value, least: int, name: str):
-    """Refuse value unless it is an integer (numpy's included) >= least."""
-    if not isinstance(value, numbers.Integral):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        floor = "positive" if least == 1 else f"at least {least}"
-        raise InputError(f"{name} must be {floor}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -173,12 +163,11 @@ def congruence_survey(c: CurveQ, spec: SurveySpec, workers: int = 1) -> Congruen
     job, through the trace store, and bucketed in one ascending stream, so
     the table is identical for every worker count.  The pool has at most
     one process per block and per CPU, so a survey of at most CHUNK primes
-    (X up to about 17,900) runs serially.  A worker count below 1, and a
-    bound above COUNT_CEILING, are refused before any prime is sieved or
-    counted.
+    (X up to about 17,900) runs serially.  A worker count that is not an
+    integer of at least 1, and a bound above COUNT_CEILING, are refused
+    before any prime is sieved or counted.
     """
-    if workers < 1:
-        raise InputError(f"need at least one worker, got {workers}")
+    _bound(workers, 1, "workers")
     skip = set(factorize(2 * spec.m * spec.N))
     ai = _ints(c)
     good = _good_at(ai)

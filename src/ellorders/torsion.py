@@ -1,10 +1,11 @@
 """Division polynomials, rational torsion, and quadratic-field torsion data.
 
-Torsion over Q is computed by the Lutz-Nagell search on the short model
-y^2 = x^3 + Ax + B that is minimal among integral short models, so every
-model of a curve gives the same search; its integer roots are found in
-exact integer arithmetic.  The result is cross-checked against a gcd of
-good reduction counts from the prime walk.
+Torsion over Q is found on the integral short model y^2 = x^3 + Ax + B,
+where every torsion point is integral (Nagell-Lutz).  A gcd of good
+reduction counts from the prime walk bounds its order, so each torsion
+point lies over an integer root of the cubic or of a division polynomial
+f_q, q a prime power of that gcd; _integer_roots finds them exactly, with
+no factoring.  The rest of the walk cross-checks the result.
 Over a quadratic field only the odd part is computed exactly (through the
 twist decomposition); the even part is bounded.  MAZUR_STRUCTURES is
 torsion_over_Q's postcondition and the stop rule of its cross-check walk.
@@ -13,12 +14,13 @@ torsion_over_Q's postcondition and the stop rule of its cross-check walk.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factorize, is_prime
-from .curve import CurveQ, _icbrt, integral_model, invariants, quadratic_twist
+from .arith import _bound, factorize, is_prime
+from .curve import CurveQ, integral_model, invariants, quadratic_twist
 from .errors import DataIntegrityError, InputError, ResourceError
 from .reduction import (
     _QQ,
@@ -98,11 +100,48 @@ def _pmul(a, b):
     return _pnorm(out)
 
 
-def _peval(a, x):
+def _peval(a, x, m=0):
+    """a(x), reduced mod m at each step when m is given."""
     out = 0
     for coef in reversed(a):
         out = out * x + coef
+        if m:
+            out %= m
     return out
+
+
+def _integer_roots(poly) -> list:
+    """Integer roots of a squarefree integer polynomial, ascending, exactly.
+
+    p is the first odd prime not dividing the leading coefficient at which
+    every root mod p is simple; only primes of the discriminant can fail.
+    Every integer root reduces to one of those roots, and Newton's step,
+    with 1 / f' lifted beside it, lifts each of them uniquely to a root mod
+    m = p^(2^k) until m passes 2M, where M = 1 + max |a_i| bounds every
+    root (Cauchy).  So an integer root is its lift's residue in
+    (-m/2, m/2], which is checked exactly.
+    """
+    deriv = [i * a for i, a in enumerate(poly)][1:]
+    p = 3
+    while True:
+        if poly[-1] % p and is_prime(p):
+            roots = [r for r in range(p) if _peval(poly, r, p) == 0]
+            if all(_peval(deriv, r, p) for r in roots):
+                break
+        p += 2
+    M = 1 + max(map(abs, poly[:-1]))
+    out = []
+    for r in roots:
+        m = p
+        inv = pow(_peval(deriv, r, p), -1, p)  # 1 / f'(r) mod m, lifted beside r
+        while m <= 2 * M:
+            m *= m
+            r = (r - _peval(poly, r, m) * inv) % m
+            inv = inv * (2 - _peval(deriv, r, m) * inv) % m
+        r = r - m if 2 * r > m else r
+        if abs(r) <= M and _peval(poly, r) == 0:
+            out.append(r)
+    return sorted(out)
 
 
 DIVISION_POLY_GUARD = 30
@@ -122,10 +161,8 @@ class DivisionPolynomial:
         return _peval(self.coefficients, x)
 
 
-def _seeds(c: CurveQ):
-    """B = psi_2^2, f_3 and f_4 as polynomials in x."""
-    inv = invariants(c)
-    b2, b4, b6, b8 = inv.b2, inv.b4, inv.b6, inv.b8
+def _seeds(b2, b4, b6, b8):
+    """B = psi_2^2, f_3 and f_4 as polynomials in x, from the b-invariants."""
     B = [b6, 2 * b4, b2, 4]
     f3 = [b8, 3 * b6, 3 * b4, b2, 3]
     f4 = [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2]
@@ -166,7 +203,8 @@ def division_polynomial(c: CurveQ, m: int) -> DivisionPolynomial:
         raise ResourceError(
             f"m = {m} exceeds the coefficient-growth guard {DIVISION_POLY_GUARD}"
         )
-    B, f3, f4 = _seeds(c)
+    inv = invariants(c)
+    B, f3, f4 = _seeds(inv.b2, inv.b4, inv.b6, inv.b8)
     f = _f_sequence([[0], [1], [1], f3, f4], _pmul(B, B), m, _pmul, _psub)
     if m % 2:
         coeffs = f[m]
@@ -181,7 +219,9 @@ def division_value_mod(c: CurveQ, m: int, x0: int, p: int) -> int:
         raise InputError("m must be nonnegative")
     if not is_prime(p) or p == 2:
         raise InputError("division values need an odd prime modulus")
-    B0, f3, f4 = (int(_peval(g, x0 % p)) % p for g in _seeds(integral_model(c)))
+    inv = invariants(integral_model(c))
+    seeds = _seeds(inv.b2, inv.b4, inv.b6, inv.b8)
+    B0, f3, f4 = (int(_peval(g, x0 % p)) % p for g in seeds)
     f = _f_sequence([0, 1, 1, f3, f4], B0 * B0 % p, m,
                     lambda a, b: a * b % p, lambda a, b: (a - b) % p)
     return f[m]
@@ -297,75 +337,8 @@ class TorsionGroup:
         return f"Z/{self.n1} x Z/{self.n2}"
 
 
-def _integer_cubic_roots(A: int, c: int) -> list:
-    """Integer roots of x^3 + Ax + c, ascending, exactly.
-
-    A root has |x| <= max(sqrt(2|A|), cbrt(2|c|)), since otherwise x^3
-    outweighs Ax + c, so M below bounds every root.  The cubic is monotone
-    on [-M, -s - 1], [-s, s] and [s + 1, M] with s = isqrt(-A // 3) (on all
-    of [-M, M] when A >= 0), so a bisection in each piece finds its one
-    possible root.
-    """
-    M = math.isqrt(2 * abs(A)) + _icbrt(2 * abs(c) or 1) + 1
-    if A >= 0:
-        pieces = ((-M, M, 1),)
-    else:
-        s = math.isqrt(-A // 3)
-        pieces = ((-M, -s - 1, 1), (-s, s, -1), (s + 1, M, 1))
-
-    def f(x):
-        return x * (x * x + A) + c
-
-    roots = []
-    for lo, hi, sign in pieces:
-        # sign * f rises on [lo, hi]; find the first x where it is >= 0
-        if sign * f(lo) > 0 or sign * f(hi) < 0:
-            continue
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if sign * f(mid) < 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        if f(lo) == 0:
-            roots.append(lo)
-    return roots
-
-
-def _lutz_nagell_points(A: int, B: int, fac: dict) -> list:
-    """(pt, order) for every affine torsion point of y^2 = x^3 + Ax + B,
-    A and B integers.
-
-    fac factors 4A^3 + 27B^2, which y^2 divides at every point with y != 0.
-    """
-    ys = [1]
-    for q, e in fac.items():
-        ys = [y * q**i for y in ys for i in range(e // 2 + 1)]
-    # root-existence sieve: drop y when x^3 + Ax + (B - y^2) has no root
-    # mod a few small moduli, which kills most of the divisor candidates
-    sieves = []
-    for q in (8, 9, 5, 7, 11, 13):
-        table = bytearray(q)
-        Aq = A % q
-        for x in range(q):
-            table[(-(x * x * x + Aq * x)) % q] = 1
-        sieves.append((q, table))
-    ys = [0] + sorted(ys)
-    ys = [y for y in ys if all(t[(B - y * y) % q] for q, t in sieves)]
-    pts = []
-    for y in ys:
-        for x in _integer_cubic_roots(A, B - y * y):
-            pts.append((Fraction(x), Fraction(y)))
-            if y:
-                pts.append((Fraction(x), Fraction(-y)))
-    ai = (0, 0, 0, A, B)
-    orders = [(pt, _rat_order_up_to(pt, ai)) for pt in pts]
-    return [(pt, o) for pt, o in orders if o is not None]
-
-
-def _short_map_back(c: CurveQ, u: int):
-    """Map (x, y) on the integral short model with u^4 divided out of A
-    and u^6 out of B back to c's coordinates."""
+def _short_map_back(c: CurveQ):
+    """Map (x, y) on the integral short model back to c's coordinates."""
     ci = integral_model(c)
     m = 1
     for a in c.ainvs:
@@ -374,7 +347,7 @@ def _short_map_back(c: CurveQ, u: int):
     a1, a3 = ci.a1, ci.a3
 
     def back(pt):
-        xs, ys = pt[0] * u**2, pt[1] * u**3
+        xs, ys = pt
         xi = (xs - 3 * b2) / 36
         yi = (ys / 108 - a1 * xi - a3) / 2
         return (xi / m**2, yi / m**3)
@@ -394,40 +367,53 @@ def _reduction_bounds(ci: CurveQ):
 
 @functools.lru_cache(maxsize=256)
 def torsion_over_Q(c: CurveQ) -> TorsionGroup:
-    """Exact rational torsion, by Lutz-Nagell search plus a reduction bound.
+    """Exact rational torsion, from integer roots of division polynomials.
 
-    The integral short model y^2 = x^3 + Ax + B with A = -27 c4 and
-    B = -54 c6 is made minimal among short models: q^4 leaves A and q^6
-    leaves B while both divide, for each prime q of the discriminant.  So
-    the search sees one model per curve, whatever model came in.  Its
-    integer roots are exact.  The gcd of good counts at odd primes must be
-    a multiple of the found order; the walk stops once that gcd rules out
-    every larger Mazur structure.  The point search itself is exhaustive,
-    so the found structure is returned either way.  A discriminant that
-    factorize cannot split leaves no search; then a gcd of 1 still proves
-    the torsion trivial, and any other gcd re-raises the ResourceError.
+    On the integral short model y^2 = x^3 + Ax + B, A = -27 c4 and
+    B = -54 c6, which is not minimized, every torsion point is integral
+    (Nagell-Lutz).  The gcd b of good counts at odd primes, from the first
+    8 primes of the cross-check walk, is a multiple of its order.  So the
+    l-primary part, l in 2, 3, 5, 7 (Mazur), lies over the integer roots of
+    f_q, q the l-part of b capped at 8, 9, 5 or 7, and for l = 2 of the
+    cubic too; a root gives points where x^3 + Ax + B is a square.  The
+    group is the sum of its parts.  Each generator is the least point under
+    (|y|, x, y < 0).  The walk goes on while its gcd, which must stay a
+    multiple of the found order, leaves room for a larger Mazur structure.
     """
     ci = integral_model(c)
     inv = invariants(ci)
     A = int(-27 * inv.c4)
     B = int(-54 * inv.c6)
-    D = 4 * A**3 + 27 * B * B
-    try:
-        fac = factorize(D)
-    except ResourceError as exc:
-        # torsion injects into E(F_p) at good odd p: a gcd of 1 proves it
-        # trivial without the divisor search
-        if 1 in _reduction_bounds(ci):
-            return TorsionGroup(1, 1, ())
-        raise ResourceError(
-            f"discriminant {-16 * D} too large for the torsion divisor search"
-        ) from exc
-    u = 1
-    for q in fac:
-        while A % q**4 == 0 and B % q**6 == 0:
-            A, B, u = A // q**4, B // q**6, u * q
-            fac[q] -= 12
-    orders = dict(_lutz_nagell_points(A, B, fac))
+    ai = (0, 0, 0, A, B)
+
+    def add(P, Q):
+        return _pt_add(P, Q, ai, _QQ)
+
+    bounds = _reduction_bounds(ci)
+    b = 0
+    for b in itertools.islice(bounds, 8):
+        pass
+    qs = {cap: math.gcd(b, cap) for cap in (8, 9, 5, 7)}
+    psi2_sq, f3, f4 = _seeds(0, 2 * A, 4 * B, -A * A)
+    f = _f_sequence([[0], [1], [1], f3, f4], _pmul(psi2_sq, psi2_sq),
+                    max(qs.values()), _pmul, _psub)
+    group = [(None, 1)]
+    for cap, q in qs.items():
+        xs = _integer_roots(f[q]) if q > 2 else []
+        if cap == 8:
+            # solved even for an odd b: a 2-torsion point the counts miss
+            # then fails the cross-check
+            xs += _integer_roots([B, A, 0, 1])
+        part = [(None, 1)]
+        for x in xs:
+            v = x**3 + A * x + B
+            y = math.isqrt(v) if v >= 0 else -1
+            if y * y == v:
+                for pt in {(Fraction(x), Fraction(y)), (Fraction(x), Fraction(-y))}:
+                    part.append((pt, _rat_order_up_to(pt, ai)))
+        # orders of the parts are coprime, so a sum's order is their product
+        group = [(add(P, Q), m * n) for P, m in group for Q, n in part]
+    orders = {pt: o for pt, o in group if pt is not None}
     order = 1 + len(orders)
     n2 = max(orders.values(), default=1)
     if order % n2:
@@ -436,21 +422,21 @@ def torsion_over_Q(c: CurveQ) -> TorsionGroup:
     if n1 not in (1, 2) or n2 % n1 or (n1, n2) not in MAZUR_STRUCTURES:
         raise DataIntegrityError(f"impossible rational structure ({n1}, {n2})")
 
+    def least(pts):
+        return min(pts, key=lambda pt: (abs(pt[1]), pt[0], pt[1] < 0))
+
     gens = []
     if n2 > 1:
-        gen2 = next(pt for pt, o in orders.items() if o == n2)
+        gen2 = least(pt for pt, o in orders.items() if o == n2)
         gens.append(gen2)
         if n1 == 2:
             # n1 | n2, so (n2 / 2) gen2 is the 2-torsion point inside <gen2>
-            ai = (0, 0, 0, A, B)
-            inside = _mul(n2 // 2, gen2, lambda P, Q: _pt_add(P, Q, ai, _QQ))
-            gens.append(
-                next(pt for pt, o in orders.items() if o == 2 and pt != inside)
-            )
+            inside = _mul(n2 // 2, gen2, add)
+            gens.append(least(pt for pt, o in orders.items() if o == 2 and pt != inside))
 
-    # reduction bound: the point search is exhaustive, so the bound only
-    # needs to rule out larger structures; check as it shrinks
-    for sampled, bound in enumerate(_reduction_bounds(ci), 1):
+    # b's gcd chain only shrinks, so checking b covers the first 8 bounds;
+    # the search is exhaustive, so the walk only rules out larger structures
+    for sampled, bound in enumerate(itertools.chain([b], bounds), 8):
         if bound % order:
             raise DataIntegrityError(
                 f"reduction bound {bound} not divisible by found order {order}"
@@ -462,7 +448,7 @@ def torsion_over_Q(c: CurveQ) -> TorsionGroup:
         ):
             break
 
-    back = _short_map_back(c, u)
+    back = _short_map_back(c)
     return TorsionGroup(n1, n2, tuple(back(pt) for pt in gens))
 
 
@@ -489,8 +475,7 @@ def quadratic_torsion_bound(c, d: int, max_prime: int = 2000) -> int:
     for a rational curve or a curve over the field: a multiple of the
     torsion order there, and of every torsion order in the isogeny class
     over the field."""
-    if max_prime < 100:
-        raise InputError(f"the prime bound must be at least 100, got {max_prime}")
+    _bound(max_prime, 100, "prime bound")
     bound = 0
     for _, _, n in quadratic_walk(c, d, max_prime):
         bound = math.gcd(bound, n)

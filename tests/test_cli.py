@@ -315,10 +315,14 @@ class TestScanCommands:
 
     def test_unfactored_discriminant_with_two_torsion(self, runner):
         # y^2 = x (x^2 + a x + 1) with a - 2 and a + 2 prime above 10^7:
-        # (0, 0) keeps every gcd even, so the divisor search is still needed
-        res = invoke(runner, "torsion", "--curve", "[0,10000455,0,1,0]")
-        assert res.exit_code == 3
-        assert "too large for the torsion divisor search" in res.output
+        # factorize cannot split the discriminant, which the root search
+        # never needs, and (0, 0) is the one point of order 2
+        res = invoke(runner, "torsion", "--curve", "[0,10000455,0,1,0]",
+                     "--format", "json")
+        assert res.exit_code == 0, res.output
+        data = json.loads(res.output)
+        assert data["structure"] == [1, 2]
+        assert data["generators"] == [["0", "0"]]
 
 
 class TestResolveCommand:

@@ -187,6 +187,12 @@ class TestCongruenceSurvey:
             with pytest.raises(InputError, match="worker"):
                 _twelve_twenty_table(X=500, workers=workers)
 
+    @pytest.mark.parametrize("workers", [1.5, "2"])
+    def test_non_integer_worker_count_refused(self, monkeypatch, workers):
+        monkeypatch.setattr(survey, "primes_in_range", None)
+        with pytest.raises(InputError, match="workers must be an integer"):
+            _twelve_twenty_table(X=500, workers=workers)
+
     def test_non_minimal_model_gives_the_same_table(self):
         # scaled by u = 1/7, so 7 divides the model's discriminant, yet the
         # curve has good reduction there; 7 must land in the cell of N_7 = 6
@@ -412,8 +418,14 @@ class TestGcdOrdersQuadratic:
     def test_bound_validation(self):
         with pytest.raises(InputError):
             gcd_orders_quadratic(everywhere_good_33(), X=99)
-        with pytest.raises(InputError, match="integers"):
+        with pytest.raises(InputError, match="must be an integer"):
             gcd_orders_quadratic(everywhere_good_33(), X=100.5)
+
+    @pytest.mark.parametrize("d, X", [(5.5, 500), ("5", 500), (Fraction(5), 500),
+                                      (5, "500"), (5, 500.0)])
+    def test_non_integer_field_or_bound_refused(self, d, X):
+        with pytest.raises(InputError, match="must be an integer"):
+            gcd_orders_quadratic(curve(SIX_CURVE), d, X)
 
     def test_bound_above_count_ceiling_refused_at_once(self):
         # a curve over the field walks its own primes, and must refuse too

@@ -31,7 +31,9 @@ from ellorders.torsion import (
     quadratic_torsion_bound,
     torsion_over_Q,
 )
-from ellorders.torsion import _integer_cubic_roots
+from ellorders.torsion import _integer_roots
+
+_PQ = 10000019 * 10000079
 
 
 def _pmul(a, b):
@@ -417,12 +419,31 @@ class TestTorsionOverQ:
         assert widths[-1] == reduction.CHUNK
         assert [len(ps) for ps in blocks] == widths + [len(walked) - sum(widths)]
 
-    def test_huge_discriminant_refused(self):
-        # B = q^2 with q = 10000019 prime: (0, +-q) has order 3, so every gcd
-        # of counts stays a multiple of 3 and only the divisor search decides
-        c = curve([0, 0, 0, 0, 10000019**2])
-        with pytest.raises(ResourceError):
-            torsion_over_Q(c)
+    def test_huge_discriminant_three_torsion(self):
+        # B = q^2 with q = 10000019 prime: (0, +-q) has order 3, and the
+        # discriminant 27 q^4 is never factored
+        t = torsion_over_Q(curve([0, 0, 0, 0, 10000019**2]))
+        assert t == TorsionGroup(1, 3, ((0, 10000019),))
+
+    @pytest.mark.parametrize("ai, structure, gens", [
+        # y^2 = x^3 + x^2 + pq x: (0, 0) has order 2
+        ([0, 1, 0, _PQ, 0], (1, 2), ((0, 0),)),
+        # y^2 = x^3 + (pq)^2: (0, +-pq) have order 3
+        ([0, 0, 0, 0, _PQ**2], (1, 3), ((0, _PQ),)),
+        # y^2 = x^3 - (pq)^2 x: (0, 0) and (+-pq, 0)
+        ([0, 0, 0, -_PQ**2, 0], (2, 2), ((-_PQ, 0), (0, 0))),
+    ], ids=["two", "three", "full-two"])
+    def test_torsion_beside_an_unfactored_discriminant(self, ai, structure, gens):
+        # p = 10000019 and q = 10000079 are beyond factorize's trial bound
+        t = torsion_over_Q(curve(ai))
+        assert t.structure == structure
+        assert t.generators == gens
+
+    def test_cyclic_ten_from_a_two_part_and_a_five_part(self):
+        c = curve([1, 0, 0, -45, 81])
+        t = torsion_over_Q(c)
+        assert t.structure == (1, 10)
+        assert _on_input_model(c, t.generators[0])
 
     def test_unfactored_discriminant_with_gcd_one_is_trivial(self):
         # 4 + 27 B^2 = 2^4 * 66670759 * 253109473 and 27 * 999999937^2 defeat
@@ -484,6 +505,17 @@ class TestQuadraticTorsion:
     def test_bound_needs_a_real_cutoff(self):
         with pytest.raises(InputError):
             quadratic_torsion_bound(kubert5(1), 6, 99)
+
+    @pytest.mark.parametrize("d, max_prime", [(5.5, 500), ("5", 500), (5, "500"),
+                                              (5, 500.0)])
+    def test_bound_needs_integers(self, d, max_prime):
+        with pytest.raises(InputError, match="must be an integer"):
+            quadratic_torsion_bound(kubert5(1), d, max_prime)
+
+    @pytest.mark.parametrize("d", [5.5, "5"])
+    def test_odd_part_needs_an_integer_d(self, d):
+        with pytest.raises(InputError, match="must be an integer"):
+            odd_torsion_over_quadratic(kubert5(1), d)
 
     @pytest.mark.parametrize("d", [0, 1, 12])
     def test_bound_needs_a_field(self, d):
@@ -552,43 +584,52 @@ def _brute_roots(A, c, reach=60):
     return [x for x in range(-reach, reach + 1) if x**3 + A * x + c == 0]
 
 
-class TestIntegerCubicRoots:
+class TestIntegerRoots:
     def test_matches_brute_force_on_a_grid(self):
-        # every root of these has |x| <= max(sqrt(2|A|), cbrt(2|c|)) < 60
+        # every root of these has |x| <= max(sqrt(2|A|), cbrt(2|c|)) < 60;
+        # the search solves only squarefree polynomials, so the cubics with
+        # a repeated root (4A^3 + 27c^2 = 0) are left out
         for A in range(-120, 121, 3):
             consts = set(range(-600, 601, 25))
             consts |= {-(x**3 + A * x) + d for x in range(-15, 16) for d in (-1, 0, 1)}
             for c in consts:
-                assert _integer_cubic_roots(A, c) == _brute_roots(A, c), (A, c)
+                if 4 * A**3 + 27 * c * c:
+                    assert _integer_roots([c, A, 0, 1]) == _brute_roots(A, c), (A, c)
 
     def test_planted_roots_up_to_ten_to_the_forty(self):
         rng = random.Random(9)
         for _ in range(200):
             r1 = rng.randint(-10**40, 10**40)
-            r2 = rng.choice((r1, -r1, rng.randint(-10**40, 10**40)))
+            r2 = rng.choice((-r1, rng.randint(-10**40, 10**40)))
             # (x - r1)(x - r2)(x + r1 + r2) = x^3 + Ax + c
             A = r1 * r2 - (r1 + r2) ** 2
             c = r1 * r2 * (r1 + r2)
-            assert _integer_cubic_roots(A, c) == sorted({r1, r2, -r1 - r2})
-            assert _integer_cubic_roots(A, c + 1) == []
+            assert _integer_roots([c, A, 0, 1]) == sorted([r1, r2, -r1 - r2])
+            assert _integer_roots([c + 1, A, 0, 1]) == []
 
-    def test_double_root(self):
-        # x^3 - 3x + 2 = (x - 1)^2 (x + 2)
-        assert _integer_cubic_roots(-3, 2) == [-2, 1]
-        assert _integer_cubic_roots(-3, -2) == [-1, 2]
+    def test_planted_roots_of_degree_five_and_more(self):
+        rng = random.Random(12)
+        for degree in (5, 6, 9):
+            roots = {rng.randint(-10**30, 10**30) for _ in range(3)}
+            # times x^(degree - 3) + 2, irreducible by Eisenstein at 2
+            poly = [2] + [0] * (degree - 4) + [1]
+            for r in roots:
+                poly = _pmul(poly, [-r, 1])
+            assert len(poly) == degree + 1
+            assert _integer_roots(poly) == sorted(roots)
+            assert _integer_roots([poly[0] + 1] + poly[1:]) == []
 
     def test_nonnegative_linear_term(self):
-        assert _integer_cubic_roots(0, 0) == [0]
-        assert _integer_cubic_roots(0, 8) == [-2]
-        assert _integer_cubic_roots(2, -3) == [1]  # (x - 1)(x^2 + x + 3)
-        assert _integer_cubic_roots(5, 1) == []
+        assert _integer_roots([8, 0, 0, 1]) == [-2]
+        assert _integer_roots([-3, 2, 0, 1]) == [1]  # (x - 1)(x^2 + x + 3)
+        assert _integer_roots([1, 5, 0, 1]) == []
 
     def test_constants_beyond_float_range(self):
         big = 10**120
-        assert _integer_cubic_roots(5, -(big**3 + 5 * big)) == [big]
+        assert _integer_roots([-(big**3 + 5 * big), 5, 0, 1]) == [big]
         r1, r2 = 10**110, -3 * 10**105 + 7
         A, c = r1 * r2 - (r1 + r2) ** 2, r1 * r2 * (r1 + r2)
         assert abs(c) > 10**300
-        assert _integer_cubic_roots(A, c) == sorted({r1, r2, -r1 - r2})
-        assert _integer_cubic_roots(0, 10**400 + 1) == []
-        assert _integer_cubic_roots(0, -(10**402)) == [10**134]
+        assert _integer_roots([c, A, 0, 1]) == sorted({r1, r2, -r1 - r2})
+        assert _integer_roots([10**400 + 1, 0, 0, 1]) == []
+        assert _integer_roots([-(10**402), 0, 0, 1]) == [10**134]
