@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from fractions import Fraction
 
 import numpy as np
 
@@ -42,6 +43,7 @@ _TRIAL_BOUND = 10**7  # factorize's trial division limit
 def is_prime(n: int) -> bool:
     """Exact below _MR_BOUND, from four Miller-Rabin bases below _MR4_BOUND
     and twelve above; BPSW, with no known counterexample, from there on."""
+    _bound(n, -math.inf, "n")  # any integer
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -120,7 +122,7 @@ def _strong_lucas(n: int) -> bool:
 
 
 def _require_odd_prime(p: int) -> None:
-    if p < 3 or p % 2 == 0 or not is_prime(p):
+    if not is_prime(p) or p == 2:
         raise InputError(f"expected an odd prime, got {p}")
 
 
@@ -189,8 +191,9 @@ def _sqrt_mod(a: int, p: int):
 
 
 def _bound(value, least, name: str):
-    """Refuse value unless it is an integer (numpy's included) >= least."""
-    if not isinstance(value, numbers.Integral):
+    """Refuse value unless it is an integer (numpy's included, bool not)
+    >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InputError(f"{name} must be an integer, got {value!r}")
     if value < least:
         floor = "positive" if least == 1 else f"at least {least}"
@@ -225,14 +228,13 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 
 def valuation(n, p: int):
     """p-adic valuation of a rational or integer n; math.inf for n = 0."""
-    if p < 2 or not is_prime(p):
+    if not is_prime(p):
         raise InputError(f"valuation needs a prime, got {p}")
-    from fractions import Fraction
-
-    if n == 0:
-        return math.inf
     if isinstance(n, Fraction):
         return valuation(n.numerator, p) - valuation(n.denominator, p)
+    _bound(n, -math.inf, "n")  # any integer
+    if n == 0:
+        return math.inf
     n = abs(int(n))
     v = 0
     while n % p == 0:
@@ -247,6 +249,7 @@ def factorize(n: int) -> dict[int, int]:
     A prime cofactor beyond the bound is accepted; a composite one means the
     input is out of scope for this package and raises ResourceError.
     """
+    _bound(n, -math.inf, "n")  # any integer
     n = abs(n)
     if n == 0:
         raise InputError("cannot factor 0")

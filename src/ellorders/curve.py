@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 from typing import NamedTuple
 
-from .arith import factorize
+from .arith import _bound, factorize
 from .errors import DataIntegrityError, InputError, SingularModelError
 
 
@@ -150,8 +150,7 @@ def integral_model(c: CurveQ) -> CurveQ:
 
     The coefficients are then integers, but the scaling is not the smallest
     that makes them so: a6 = 51/10^11 becomes a6 * 10^66 where u = 1/100
-    would do.  The points that ec_add, ec_mul, point_order and
-    division_value_mod take are in these coordinates.
+    would do.  division_value_mod takes its x in these coordinates.
     """
     m = 1
     for a in c.ainvs:
@@ -161,25 +160,13 @@ def integral_model(c: CurveQ) -> CurveQ:
     return transformed(c, u=Fraction(1, m))
 
 
-def normalized_model(c: CurveQ) -> CurveQ:
-    """Translate an integral model so a1, a3 lie in {0,1} and a2 in {-1,0,1}."""
-    if not c.is_integral():
-        c = integral_model(c)
-    a1 = int(c.a1)
-    s = (a1 % 2 - a1) // 2
-    base = int(c.a2) - s * a1 - s * s
-    r = -((base + 1) // 3)
-    a3r = int(c.a3) + r * a1
-    t = (a3r % 2 - a3r) // 2
-    return transformed(c, r=r, s=s, t=t)
-
-
 def _squarefree(d: int) -> bool:
     return all(e == 1 for e in factorize(d).values())
 
 
 def quadratic_twist(c: CurveQ, d) -> CurveQ:
     """Twist by squarefree d, returned as the short model with A d^2, B d^3."""
+    _bound(d, -inf, "twist parameter")  # any integer, numpy's made int
     d = int(d)
     if d == 0 or not _squarefree(d):
         raise InputError(f"twist parameter must be nonzero and squarefree: {d}")
@@ -283,8 +270,9 @@ def kubert5(lam) -> CurveQ:
 
 def e1k(k: int, eps: int = 1) -> CurveQ:
     """kubert5 at eps * 5^k; split multiplicative at 5 with a 5k-gon fibre."""
-    if k < 1 or eps not in (1, -1):
-        raise InputError("e1k needs k >= 1 and eps in {1, -1}")
+    _bound(k, 1, "k")
+    if eps not in (1, -1):
+        raise InputError("e1k needs eps in {1, -1}")
     lam = Fraction(eps * 5**k)
     fam = FamilyParam("e1k", (("k", k), ("eps", eps)))
     return curve([1 - lam, -lam, -lam, 0, 0], family=fam)
@@ -293,8 +281,9 @@ def e1k(k: int, eps: int = 1) -> CurveQ:
 def e2k(k: int, eps: int = 1) -> CurveQ:
     """The dual-parameter partner of e1k: y^2 + (eps 5^k - 1)xy - 5^(2k) y
     = x^3 - eps 5^k x^2."""
-    if k < 1 or eps not in (1, -1):
-        raise InputError("e2k needs k >= 1 and eps in {1, -1}")
+    _bound(k, 1, "k")
+    if eps not in (1, -1):
+        raise InputError("e2k needs eps in {1, -1}")
     m = Fraction(eps * 5**k)
     fam = FamilyParam("e2k", (("k", k), ("eps", eps)))
     return curve([m - 1, -m, -(Fraction(5) ** (2 * k)), 0, 0], family=fam)

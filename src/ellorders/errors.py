@@ -24,7 +24,7 @@ class SingularModelError(InputError):
 
 
 class UnsupportedPrimeError(InputError):
-    """A prime outside the supported range or splitting behaviour."""
+    """A prime outside the supported range, or one ramified in the field."""
 
 
 class BadReductionError(UnsupportedPrimeError):

@@ -367,7 +367,7 @@ def _local_data_ints(ai, p):
 
 
 def local_data(c: CurveQ, p: int) -> LocalData:
-    if p < 2 or not is_prime(p):
+    if not is_prime(p):
         raise InputError(f"local data needs a prime, got {p}")
     return _local_data_ints(_ints(c), p)
 
@@ -387,20 +387,6 @@ def _good_at(ai):
     disc = _invariant_kernel(ai)[6]
     return lambda p: bool(disc % p) or (
         _local_data_ints(ai, p).rtype is ReductionType.GOOD)
-
-
-def smooth_locus_order(ld: LocalData) -> int:
-    """Order of the group of nonsingular points of the reduction mod p."""
-    if ld.rtype is ReductionType.SPLIT:
-        return ld.p - 1
-    if ld.rtype is ReductionType.NONSPLIT:
-        return ld.p + 1
-    if ld.rtype is ReductionType.ADDITIVE:
-        return ld.p
-    raise InputError(
-        "smooth locus order is only a formula at bad primes; "
-        "count points for good reduction"
-    )
 
 
 # x values a table segment holds at most: one numpy pass counts a segment's
@@ -511,11 +497,11 @@ def count_extension(trace_or_count, p: int | None = None, n: int = 2) -> PointCo
         a = trace_or_count.trace
         p = trace_or_count.p
     else:
+        _bound(trace_or_count, -math.inf, "trace")  # any integer
         a = int(trace_or_count)
         if p is None:
             raise InputError("a bare trace needs the prime alongside it")
-    if n < 1:
-        raise InputError(f"extension degree must be >= 1, got {n}")
+    _bound(n, 1, "extension degree")
     if not is_prime(p):
         raise InputError(f"need a prime, got {p}")
     if a * a > 4 * p:
@@ -540,7 +526,7 @@ def _good_model_at(ai, p, what):
 
 def count_fp2_direct(c: CurveQ, p: int) -> int:
     """Enumerative |E(F_{p^2})| for small odd good p: the n = 2 oracle."""
-    if p < 3 or not is_prime(p) or p > FP2_DIRECT_CEILING:
+    if not is_prime(p) or p == 2 or p > FP2_DIRECT_CEILING:
         raise InputError(
             f"direct F_p^2 enumeration supports odd primes up to {FP2_DIRECT_CEILING}"
         )
@@ -554,7 +540,7 @@ def count_fp2_direct(c: CurveQ, p: int) -> int:
 
 def twist_count_identity_check(c: CurveQ, p: int) -> bool:
     """Check |E(F_p)| + |E^d(F_p)| = 2p + 2 for a nonresidue twist d mod p."""
-    if p < 3 or not is_prime(p):
+    if not is_prime(p) or p == 2:
         raise InputError("twist identity check needs an odd prime")
     ai = _good_model_at(_ints(c), p, "twist identity check")
     b2, b4, b6, *_ = _invariant_kernel(ai)
@@ -574,64 +560,11 @@ def twist_count_identity_check(c: CurveQ, p: int) -> bool:
     return n_e == base and n_e + n_tw == 2 * p + 2
 
 
-class SplitKind(str, Enum):
-    SPLIT = "split"
-    INERT = "inert"
-    RAMIFIED = "ramified"
-
-
-@dataclass(frozen=True)
-class QuadraticPrimeSplitting:
-    p: int
-    d: int
-    kind: SplitKind
-    e: int  # ramification index
-    f: int  # residue degree
-
-
 def _check_field(d: int) -> None:
     """Refuse a d that names no quadratic field Q(sqrt d)."""
     _bound(d, -math.inf, "d")  # any integer
     if d in (0, 1) or not _squarefree(d):
         raise InputError(f"need a nontrivial squarefree d, got {d}")
-
-
-def splitting(d: int, p: int) -> QuadraticPrimeSplitting:
-    """How p behaves in Q(sqrt d), d squarefree and not 0 or 1."""
-    _check_field(d)
-    if not is_prime(p):
-        raise InputError(f"need a prime, got {p}")
-    if p == 2:
-        m = d % 8
-        if m == 1:
-            return QuadraticPrimeSplitting(p, d, SplitKind.SPLIT, 1, 1)
-        if m == 5:
-            return QuadraticPrimeSplitting(p, d, SplitKind.INERT, 1, 2)
-        return QuadraticPrimeSplitting(p, d, SplitKind.RAMIFIED, 2, 1)
-    ch = _euler(d, p)
-    if ch == 1:
-        return QuadraticPrimeSplitting(p, d, SplitKind.SPLIT, 1, 1)
-    if ch == -1:
-        return QuadraticPrimeSplitting(p, d, SplitKind.INERT, 1, 2)
-    return QuadraticPrimeSplitting(p, d, SplitKind.RAMIFIED, 2, 1)
-
-
-def count_at_quadratic_prime(c: CurveQ, d: int, p: int) -> int:
-    """|E(O_K/P)| for P above p in K = Q(sqrt d), for a curve defined over Q.
-
-    Both primes above a split p give the same count, so one integer suffices.
-    Ramified primes are refused; so are primes of bad reduction.
-    """
-    sp = splitting(d, p)
-    if sp.kind is SplitKind.RAMIFIED:
-        raise UnsupportedPrimeError(f"{p} ramifies in Q(sqrt {d})")
-    if p == 2:
-        raise UnsupportedPrimeError("residue counts at 2 are not supported")
-    ai = _ints(c)
-    if not _good_at(ai)(p):
-        raise BadReductionError(f"bad reduction at {p}")
-    [n] = _count_chunk(ai, [p])
-    return _residue_order(n, p, sp.kind is SplitKind.SPLIT)
 
 
 def _residue_order(n, p, split):
@@ -646,9 +579,10 @@ def _residue_order(n, p, split):
 # (x, y) pairs of its elements, None is the point at infinity, and a6 never
 # enters.  _QQ is Q on Fractions; _fq_field(p, r) is F_{p^2} on pairs
 # (u, v) = u + v*s with s^2 = r, and r = 0 keeps F_p as the pairs (u, 0).
-# Torsion over Q and torsion's F_p helpers add here.  The order finders keep
-# their own plain-int short laws, _fp_law over F_p and _fq_law over F_{p^2},
-# and the survey lanes their Jacobian numpy law: see there for why.
+# Torsion over Q adds here, and the tests check the other laws and the
+# counts against it over F_p and F_{p^2}.  The order finders keep their own
+# plain-int short laws, _fp_law over F_p and _fq_law over F_{p^2}, and the
+# survey lanes their Jacobian numpy law: see there for why.
 
 _QQ = (operator.add, operator.sub, operator.mul, Fraction(1).__truediv__, Fraction(0))
 
@@ -1333,17 +1267,21 @@ def count_curveK_at_prime(c: CurveK, p: int) -> list:
     Split p: two counts, the embedding using the smaller square root of d
     mod p first. Inert p: one count over F_{p^2}. Ramified p and p = 2 are
     refused, and so are primes where the model is bad at a place above p
-    (BadReductionError) and, before anything else, p above COUNT_CEILING.
-    The counts are those quadratic_walk yields at p.
+    (BadReductionError) and, before any of these, an integer p above
+    COUNT_CEILING.  p splits when (d|p) = 1, as in quadratic_walk, whose
+    counts at p these are.
     """
+    _bound(p, -math.inf, "p")  # any integer
     if p > COUNT_CEILING:
         raise ResourceError(f"point count at {p} exceeds ceiling {COUNT_CEILING}")
-    sp = splitting(c.d, p)
+    if not is_prime(p):
+        raise InputError(f"need a prime, got {p}")
     if p == 2:
         raise UnsupportedPrimeError("residue counts at 2 are not supported")
-    if sp.kind is SplitKind.RAMIFIED:
+    if c.d % p == 0:
         raise UnsupportedPrimeError(f"{p} ramifies in Q(sqrt {c.d})")
-    counts = _place_orders(c, p, sp.kind is SplitKind.SPLIT)
+    split = _euler(c.d, p) == 1
+    counts = _place_orders(c, p, split)
     if counts is None:
-        raise BadReductionError(f"bad reduction above {p} ({sp.kind.value})")
+        raise BadReductionError(f"bad reduction above {p} ({'split' if split else 'inert'})")
     return counts

@@ -19,20 +19,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import _bound, factorize, is_prime
+from .arith import _bound, is_prime
 from .curve import CurveQ, integral_model, invariants, quadratic_twist
 from .errors import DataIntegrityError, InputError, ResourceError
-from .reduction import (
-    _QQ,
-    _check_field,
-    _fq_field,
-    _fq_pt_mul,
-    _good_at,
-    _ints,
-    _mul,
-    _pt_add,
-    count_points_fp,
-)
+from .reduction import _QQ, _check_field, _good_at, _ints, _mul, _pt_add
 from .walk import prime_walk, quadratic_walk
 
 # the fifteen rational structures, as (n1, n2) with n1 | n2
@@ -228,75 +218,6 @@ def division_value_mod(c: CurveQ, m: int, x0: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# group law over F_p on the long model (reduced from the integral model):
-# reduction._pt_add over _fq_field(p, 0), whose pairs (u, 0) are F_p, since
-# with r = 0 no product of two of them meets a nonzero v.
-
-
-def _good_model(c: CurveQ, p: int):
-    ci = integral_model(c)
-    ai = tuple(int(a) for a in ci.ainvs)
-    inv = invariants(ci)
-    if int(inv.disc) % p == 0:
-        raise InputError(f"group law helpers need good reduction at {p}")
-    return tuple((a % p, 0) for a in ai)
-
-
-def _lift(pt, ai, p):
-    """pt as an F_{p^2} point, after checking that it lies on the curve."""
-    if pt is None:
-        return None
-    x, y = pt
-    a1, a2, a3, a4, a6 = (a for a, _ in ai)
-    if (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % p:
-        raise InputError(f"{pt} is not on the reduced curve mod {p}")
-    return ((x % p, 0), (y % p, 0))
-
-
-def _project(pt):
-    return None if pt is None else (pt[0][0], pt[1][0])
-
-
-def ec_add(p: int, c: CurveQ, P, Q):
-    ai = _good_model(c, p)
-    return _project(_pt_add(_lift(P, ai, p), _lift(Q, ai, p), ai, _fq_field(p, 0)))
-
-
-def ec_mul(p: int, c: CurveQ, n: int, P):
-    ai = _good_model(c, p)
-    return _project(_fq_pt_mul(n, _lift(P, ai, p), ai, p, 0))
-
-
-def _order_descent(pt, k, add):
-    """Exact order of pt from a multiple k of it.
-
-    For each prime power l^e of k, one scalar multiple (k / l^e) pt, then
-    multiplications by l until it reaches the identity.  The e-th would
-    reach it by the choice of k, so it is never made.
-    """
-    order = 1
-    for ell, e in factorize(k).items():
-        cur = _mul(k // ell**e, pt, add)
-        while cur is not None and e:
-            order *= ell
-            e -= 1
-            if e:
-                cur = _mul(ell, cur, add)
-    return order
-
-
-def point_order(p: int, c: CurveQ, P) -> int:
-    """Exact order of P in E(F_p), by descending from the group order."""
-    ai = _good_model(c, p)
-    P = _lift(P, ai, p)
-    if P is None:
-        return 1
-    F = _fq_field(p, 0)
-    return _order_descent(P, count_points_fp(c, p).count,
-                          lambda A, B: _pt_add(A, B, ai, F))
-
-
-# ---------------------------------------------------------------------------
 # exact arithmetic over Q, for order-of-point checks: reduction._pt_add over
 # _QQ, on the short model (0, 0, 0, A, B) and Fraction points
 
@@ -337,13 +258,12 @@ class TorsionGroup:
         return f"Z/{self.n1} x Z/{self.n2}"
 
 
-def _short_map_back(c: CurveQ):
-    """Map (x, y) on the integral short model back to c's coordinates."""
-    ci = integral_model(c)
+def _short_map_back(c: CurveQ, ci: CurveQ, b2):
+    """Map (x, y) on the integral short model back to c's coordinates; ci
+    is c's integral model and b2 its invariant."""
     m = 1
     for a in c.ainvs:
         m = m * a.denominator // math.gcd(m, a.denominator)
-    b2 = invariants(ci).b2
     a1, a3 = ci.a1, ci.a3
 
     def back(pt):
@@ -448,7 +368,7 @@ def torsion_over_Q(c: CurveQ) -> TorsionGroup:
         ):
             break
 
-    back = _short_map_back(c)
+    back = _short_map_back(c, ci, inv.b2)
     return TorsionGroup(n1, n2, tuple(back(pt) for pt in gens))
 
 

@@ -214,6 +214,13 @@ class TestCurveLoading:
         assert res.exit_code == 1
         assert res.stderr.startswith("error: cache entry for 17a1")
 
+    @pytest.mark.parametrize("family", ["e1k", "e2k"])
+    def test_non_integer_exponent_is_usage_error(self, runner, family):
+        res = invoke(runner, "count", "--family", family, "--t", "3/2",
+                     "--max-prime", "60")
+        assert res.exit_code == 2
+        assert "k must be an integer" in res.stderr
+
     def test_rational_family_parameter(self, runner):
         res = invoke(runner, "count", "--family", "kkp", "--t", "1/2",
                      "--max-prime", "60")

@@ -20,7 +20,6 @@ from ellorders.curve import (
     kkp,
     kubert5,
     make_family,
-    normalized_model,
     quadratic_twist,
     short_model,
     transformed,
@@ -92,12 +91,6 @@ class TestShortModel:
         assert ic.is_integral()
         assert invariants(ic).j == invariants(c).j
 
-    def test_normalized_model_ranges(self):
-        c = curve([16, 17, 272, 0, 0])
-        n = normalized_model(c)
-        assert int(n.a1) in (0, 1) and int(n.a2) in (-1, 0, 1) and int(n.a3) in (0, 1)
-        assert invariants(n).disc == invariants(c).disc
-
 
 class TestTwist:
     def test_twist_preserves_j(self):
@@ -128,6 +121,12 @@ class TestTwist:
         assert isomorphic(c, transformed(c, u=u))
         assert isomorphic(c, transformed(c, u=u, r=3, s=-1, t=2))
         assert not isomorphic(c, quadratic_twist(transformed(c, u=u), 2))
+
+    @pytest.mark.parametrize("d", [2.5, 5.0, True, F(5), "5"])
+    def test_non_integer_d_refused(self, d):
+        # int(d) would truncate 2.5 to 2 and read True as 1
+        with pytest.raises(InputError, match="must be an integer"):
+            quadratic_twist(curve([0, 0, 0, -12, -11]), d)
 
     def test_nonsquarefree_rejected(self):
         with pytest.raises(InputError):
@@ -185,6 +184,13 @@ class TestFamilies:
             kubert5(0)
         with pytest.raises(InputError):
             e1k(0, 1)
+
+    def test_non_integer_exponent_refused(self):
+        # 5**k at k = 3/2 is a float, and so were the curve's coefficients
+        for family in (e1k, e2k):
+            for k in (F(3, 2), 1.5, 2.0):
+                with pytest.raises(InputError, match="k must be an integer"):
+                    family(k)
 
 
 class TestQuadInt:

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellorders import reduction
-from ellorders.arith import legendre, primes_in_range, sqrt_mod
+from ellorders.arith import factorize, is_prime, legendre, primes_in_range, sqrt_mod, valuation
 from ellorders.curve import (
     QuadInt,
     _invariant_kernel,
@@ -34,7 +34,6 @@ from ellorders.errors import (
 from ellorders.reduction import (
     Kodaira,
     ReductionType,
-    SplitKind,
     _count_chunk,
     _count_table,
     _finder_rng,
@@ -50,14 +49,11 @@ from ellorders.reduction import (
     _pt_neg,
     _window_annihilators,
     bad_primes,
-    count_at_quadratic_prime,
     count_curveK_at_prime,
     count_extension,
     count_fp2_direct,
     count_points_fp,
     local_data,
-    smooth_locus_order,
-    splitting,
     twist_count_identity_check,
 )
 from ellorders.walk import quadratic_walk
@@ -75,7 +71,7 @@ class TestLocalData:
         ld = local_data(kubert5(1), 11)
         assert ld.kodaira.label == "I1"
         assert ld.rtype is ReductionType.SPLIT
-        assert smooth_locus_order(ld) == 10
+        assert ld.reduced_count - 1 == 10  # nonsingular points: F_p^*
         assert ld.reduced_count == 11
 
     def test_mixed_bad_primes(self):
@@ -120,10 +116,6 @@ class TestLocalData:
     def test_nonprime_rejected(self):
         with pytest.raises(InputError):
             local_data(kubert5(1), 10)
-
-    def test_smooth_locus_needs_bad_reduction(self):
-        with pytest.raises(InputError):
-            smooth_locus_order(local_data(kubert5(1), 7))
 
     def test_kodaira_labels(self):
         assert Kodaira("I", 4).label == "I4"
@@ -253,63 +245,106 @@ class TestCounting:
             twist_count_identity_check(kubert5(1), 11)
 
 
+def _walked_orders(c, d, X):
+    """{p: (split, order)} from quadratic_walk of a rational curve."""
+    return {p: (split, n) for p, split, n in quadratic_walk(c, d, X)}
+
+
 class TestSplitting:
+    # p splits in Q(sqrt d) when (d|p) = 1 and ramifies when p | d, in
+    # quadratic_walk and count_curveK_at_prime alike
     def test_odd_prime_kinds(self):
-        assert splitting(33, 17).kind is SplitKind.SPLIT
-        assert splitting(33, 7).kind is SplitKind.INERT
-        assert splitting(33, 11).kind is SplitKind.RAMIFIED
-        assert splitting(-15, 5).kind is SplitKind.RAMIFIED
-
-    def test_two_follows_d_mod_eight(self):
-        assert splitting(33, 2).kind is SplitKind.SPLIT  # 33 = 1 mod 8
-        assert splitting(5, 2).kind is SplitKind.INERT
-        assert splitting(6, 2).kind is SplitKind.RAMIFIED
-        assert splitting(-1, 2).kind is SplitKind.RAMIFIED
-
-    def test_invariants_of_kinds(self):
-        sp = splitting(6, 7)
-        assert (sp.e, sp.f) == (1, 2)
-        assert sp.kind is SplitKind.INERT
+        c = curve([0, 0, 0, -12, -11])
+        ck = curve_K(c.ainvs, 33)
+        walked = _walked_orders(c, 33, 17)
+        assert walked[17][0] and len(count_curveK_at_prime(ck, 17)) == 2
+        assert not walked[7][0] and len(count_curveK_at_prime(ck, 7)) == 1
+        assert 11 not in walked
+        with pytest.raises(UnsupportedPrimeError, match="ramifies"):
+            count_curveK_at_prime(curve_K(c.ainvs, -15), 5)
 
     def test_bad_d_rejected(self):
-        with pytest.raises(InputError):
-            splitting(12, 7)
-        with pytest.raises(InputError):
-            splitting(1, 7)
+        c = curve([0, 0, 0, -12, -11])
+        for d in (12, 1):
+            with pytest.raises(InputError):
+                list(quadratic_walk(c, d, 50))
+            with pytest.raises(InputError):
+                curve_K(c.ainvs, d)
 
     def test_composite_p_rejected(self):
-        with pytest.raises(InputError):
-            splitting(33, 15)
-        with pytest.raises(InputError):
-            splitting(6, 1)
+        ck = curve_K([0, 0, 0, -12, -11], 33)
+        for p in (15, 1):
+            with pytest.raises(InputError, match="need a prime"):
+                count_curveK_at_prime(ck, p)
 
 
 class TestQuadraticCounts:
+    # a rational curve's orders at the places of K above p: quadratic_walk
+    # yields them, and count_curveK_at_prime refuses where the walk skips
     def test_split_prime_gives_rational_count(self):
         c = curve([0, 0, 0, -12, -11])
-        assert count_at_quadratic_prime(c, 33, 17) == count_points_fp(c, 17).count
+        assert _walked_orders(c, 33, 17)[17] == (True, count_points_fp(c, 17).count)
 
     def test_inert_prime_gives_degree_two_count(self):
         c = curve([0, 0, 0, -12, -11])
         n2 = count_extension(count_points_fp(c, 7), n=2).count
-        assert count_at_quadratic_prime(c, 33, 7) == n2
+        assert _walked_orders(c, 33, 7)[7] == (False, n2)
 
     def test_ramified_refused(self):
+        c = curve([0, 0, 0, -12, -11])
+        assert 11 not in _walked_orders(c, 33, 11)
         with pytest.raises(UnsupportedPrimeError):
-            count_at_quadratic_prime(curve([0, 0, 0, -12, -11]), 33, 11)
+            count_curveK_at_prime(curve_K(c.ainvs, 33), 11)
 
     def test_two_refused(self):
+        c = curve([0, 0, 0, -12, -11])
+        assert 2 not in _walked_orders(c, 33, 11)
         with pytest.raises(UnsupportedPrimeError):
-            count_at_quadratic_prime(curve([0, 0, 0, -12, -11]), 33, 2)
+            count_curveK_at_prime(curve_K(c.ainvs, 33), 2)
 
     def test_bad_reduction_flagged(self):
+        c = kubert5(1)
+        assert 11 not in _walked_orders(c, 6, 11)
         with pytest.raises(BadReductionError):
-            count_at_quadratic_prime(kubert5(1), 6, 11)
+            count_curveK_at_prime(curve_K(c.ainvs, 6), 11)
+
+
+_C = curve([0, 0, 0, -12, -11])
+
+
+class TestArgumentTypes:
+    # a prime, degree or integer argument that is no integer is refused
+    # before it meets a comparison, a pow() or an int() that would take it
+    @pytest.mark.parametrize("call", [
+        lambda: is_prime(7.0),
+        lambda: factorize(12.5),
+        lambda: valuation(12.5, 2),
+        lambda: valuation(12, 7.0),
+        lambda: legendre(3, 7.0),
+        lambda: sqrt_mod(2, 7.0),
+        lambda: QuadInt(1, 2, 5.5),
+        lambda: local_data(_C, 7.0),
+        lambda: local_data(_C, "7"),
+        lambda: count_points_fp(_C, 7.0),
+        lambda: count_extension(0, 7.0, 2),
+        lambda: count_extension(0, 7, 2.5),
+        lambda: count_fp2_direct(_C, 7.0),
+        lambda: twist_count_identity_check(_C, 7.0),
+        lambda: count_curveK_at_prime(everywhere_good_33(), 7.0),
+        lambda: count_curveK_at_prime(everywhere_good_33(), "7"),
+    ], ids=["is_prime", "factorize", "valuation-n", "valuation-p", "legendre",
+            "sqrt_mod", "QuadInt", "local_data", "local_data-str",
+            "count_points_fp", "count_extension-p", "count_extension-n",
+            "count_fp2_direct", "twist_identity", "count_curveK",
+            "count_curveK-str"])
+    def test_non_integer_refused(self, call):
+        with pytest.raises(InputError, match="must be an integer"):
+            call()
 
 
 class TestCurveKCounts:
     def test_no_walked_prime_is_re_proved(self, monkeypatch):
-        # the walk's sieve proves each p prime; neither the splitting test
+        # the walk's sieve proves each p prime; neither the (d|p) test
         # nor the split places' square root proves it again
         from ellorders import arith, survey
 
@@ -331,7 +366,7 @@ class TestCurveKCounts:
         for ck in (everywhere_good_33(), everywhere_good_6()):
             walked = {}
             for p, split, n in quadratic_walk(ck, ck.d, 500):
-                assert split == (splitting(ck.d, p).kind is SplitKind.SPLIT)
+                assert split == (legendre(ck.d, p) == 1)
                 walked.setdefault(p, []).append(n)
             skipped = []
             for p in primes_in_range(3, 500):
@@ -359,13 +394,11 @@ class TestCurveKCounts:
     def test_rational_model_agrees_with_quadratic_count(self):
         cq = curve([0, 0, 0, -12, -11])
         ck = curve_K([0, 0, 0, -12, -11], 33)
+        walked = _walked_orders(cq, 33, 29)
         for p in (7, 13, 17, 19, 29):
-            counts = count_curveK_at_prime(ck, p)
-            agg = count_at_quadratic_prime(cq, 33, p)
-            if splitting(33, p).kind is SplitKind.SPLIT:
-                assert counts == [agg, agg]
-            else:
-                assert counts == [agg]
+            split, agg = walked[p]
+            assert split == (legendre(33, p) == 1)
+            assert count_curveK_at_prime(ck, p) == [agg] * (2 if split else 1)
 
     def test_split_counts_ordered_by_smaller_root(self):
         ck = curve_K([0, 0, 0, QuadInt(0, 1, 33), 2], 33)
@@ -377,15 +410,15 @@ class TestCurveKCounts:
     def test_everywhere_good_curves_count_everywhere_odd_unramified(self):
         for ck in (everywhere_good_33(), everywhere_good_6()):
             for p in (5, 7, 13, 17, 19, 23):
-                sp = splitting(ck.d, p)
-                if sp.kind is SplitKind.RAMIFIED:
-                    continue
+                ch = legendre(ck.d, p)
+                if ch == 0:
+                    continue  # ramified
                 try:
                     counts = count_curveK_at_prime(ck, p)
                 except BadReductionError:
                     continue  # model-level bad prime; allowed, just skipped
                 for n in counts:
-                    q = p if sp.kind is SplitKind.SPLIT else p * p
+                    q = p if ch == 1 else p * p
                     assert abs(q + 1 - n) <= 2 * int(q**0.5) + 1
 
     def test_bsgs_agrees_with_enumeration(self):
@@ -394,7 +427,7 @@ class TestCurveKCounts:
         inv = invariants_K(g6)
         for p in (223, 227, 229):
             counts = count_curveK_at_prime(g6, p)
-            if splitting(6, p).kind is SplitKind.INERT:
+            if legendre(6, p) == -1:
                 inv2 = pow(2, p - 2, p)
                 b246 = []
                 for a in (inv.b2, inv.b4, inv.b6):
@@ -409,7 +442,7 @@ class TestCurveKCounts:
                            (everywhere_good_33(), (5, 13, 19, 241))):
             inv = invariants_K(ck)
             for p in primes:
-                assert splitting(ck.d, p).kind is SplitKind.INERT
+                assert legendre(ck.d, p) == -1
                 r, inv2 = ck.d % p, pow(2, p - 2, p)
 
                 def red(z):
@@ -546,7 +579,7 @@ class TestOrderFinder:
         for ck, more in ((everywhere_good_6(), [257, 277]), (everywhere_good_33(), [311])):
             inv = invariants_K(ck)
             for p in list(primes_in_range(11, 211)) + more:
-                if splitting(ck.d, p).kind is not SplitKind.INERT:
+                if legendre(ck.d, p) != -1:
                     continue
                 red, r = _reduce_quad(p), ck.d % p
                 want = _fq_enumerate((red(inv.b2), red(inv.b4), red(inv.b6)), p, r)
@@ -567,7 +600,7 @@ class TestOrderFinder:
         for ck in (everywhere_good_6(), everywhere_good_33()):
             inv = invariants_K(ck)
             for p in primes_in_range(11, 500):
-                if splitting(ck.d, p).kind is not SplitKind.INERT:
+                if legendre(ck.d, p) != -1:
                     continue
                 red, r = _reduce_quad(p), ck.d % p
                 _fq_finder_count((red(inv.c4), red(inv.c6)), p, r, None)
@@ -596,7 +629,7 @@ class TestOrderFinder:
         # j of y^2 = x^3 + (1 + sqrt 33) x + 1 is not in F_241, so its order
         # is the finder's, and with no draws the character sum's
         ck, q = curve_K([0, 0, 0, QuadInt(1, 1, 33), 1], 33), 241
-        assert splitting(33, q).kind is SplitKind.INERT
+        assert legendre(33, q) == -1
         args = _inert_args(ck, q)
         assert _j_in_fp(args[4], q, args[2]) is False
         want_q = _fq_enumerate(args[3], q, args[2])
@@ -618,7 +651,7 @@ class TestOrderFinder:
         for ck in (everywhere_good_33(), everywhere_good_6()):
             classes = Counter()
             for p in primes_in_range(5, 250):
-                if splitting(ck.d, p).kind is not SplitKind.INERT:
+                if legendre(ck.d, p) != -1:
                     continue
                 _, _, r, b246, (c4, c6) = _inert_args(ck, p)
                 want = _fq_enumerate(b246, p, r)
@@ -657,7 +690,7 @@ class TestOrderFinder:
         for ck, in_fp in cases:
             disc = invariants_K(ck).disc
             for p in primes_in_range(5, 120):
-                if splitting(33, p).kind is not SplitKind.INERT or disc.norm() % p == 0:
+                if legendre(33, p) != -1 or disc.norm() % p == 0:
                     continue
                 args = _inert_args(ck, p)
                 _, _, r, b246, c46 = args

@@ -29,7 +29,7 @@ from ellorders.curve import (
     quadratic_twist,
 )
 from ellorders.errors import DataIntegrityError, InputError, ResourceError
-from ellorders.reduction import COUNT_CEILING, bad_primes, count_points_fp
+from ellorders.reduction import COUNT_CEILING, _fq_pt_mul, bad_primes, count_points_fp
 from ellorders.walk import quadratic_walk
 from ellorders.survey import (
     CongruenceTable,
@@ -47,7 +47,7 @@ from ellorders.survey import (
     verify_expected,
     verify_family,
 )
-from ellorders.torsion import point_order, torsion_over_Q
+from ellorders.torsion import torsion_over_Q
 
 SIX_CURVE = [0, 0, 0, -12, -11]  # bad at 2,3,5; counts land in {0,6} mod 12
 # the same curve on a model scaled by u = 1/7: not minimal at the good prime 7
@@ -435,10 +435,11 @@ class TestGcdOrdersQuadratic:
         assert time.perf_counter() - t0 < 1.0
 
     def test_split_count_outside_the_hasse_window_raises(self, monkeypatch):
-        # 17 splits in Q(sqrt 33)
+        # 17 splits in Q(sqrt 33); a rational curve's walk meets a lying
+        # count at its first good prime
         _lie_at_good_primes(monkeypatch)
         with pytest.raises(DataIntegrityError, match="Hasse"):
-            reduction.count_at_quadratic_prime(curve(SIX_CURVE), 33, 17)
+            list(quadratic_walk(curve(SIX_CURVE), 33, 17))
         with pytest.raises(DataIntegrityError, match="Hasse"):
             reduction.count_curveK_at_prime(curve_K(SIX_CURVE, 33), 17)
 
@@ -685,8 +686,10 @@ class TestKubertConditions:
                         continue
                     z = sqrt_mod((T**3 + a4 * T + a6) % 5, 5)
                     assert z is not None
-                    c = curve([0, 0, 0, a4, a6])
-                    assert point_order(5, c, (T, z)) == 5
+                    # P = (T, z) is affine, so P != O, and 5 is prime
+                    P = ((T, 0), (z, 0))
+                    ai = ((0, 0), (0, 0), (0, 0), (a4, 0), (a6, 0))
+                    assert P is not None and _fq_pt_mul(5, P, ai, 5, 0) is None
 
     def test_validation(self):
         with pytest.raises(InputError):

@@ -17,17 +17,14 @@ from ellorders.curve import (
     transformed,
 )
 from ellorders.errors import DataIntegrityError, InputError, ResourceError
-from ellorders.reduction import _fq_pt_mul, count_points_fp
+from ellorders.reduction import _fq_field, _fq_pt_mul, _pt_add, count_points_fp
 from ellorders.torsion import (
     MAZUR_STRUCTURES,
     QUADRATIC_GROWTH,
     TorsionGroup,
     division_polynomial,
     division_value_mod,
-    ec_add,
-    ec_mul,
     odd_torsion_over_quadratic,
-    point_order,
     quadratic_torsion_bound,
     torsion_over_Q,
 )
@@ -222,29 +219,41 @@ class TestDivisionPolynomials:
         assert psi.degree == (29 * 29 - 1) // 2
 
 
+def _reduced(c, p):
+    """c's integral model mod p, as _pt_add's coefficients over F_p: the
+    pairs (u, 0) of _fq_field(p, 0)."""
+    return tuple((int(a) % p, 0) for a in integral_model(c).ainvs)
+
+
+def _lift(pt):
+    """An affine F_p point as a point over _fq_field(p, 0); None stays O."""
+    return None if pt is None else tuple((u, 0) for u in pt)
+
+
 class TestGroupLaw:
+    # the oracle law: reduction._pt_add over _fq_field(p, 0), on the
+    # integral model reduced mod p at a good p
     def test_identity(self):
         c = curve([1, -1, 1, -199, 510])
-        P = _some_affine_point(c, 7, random.Random(1))
-        assert ec_add(7, c, P, None) == P
-        assert ec_add(7, c, None, P) == P
-        assert ec_add(7, c, None, None) is None
+        ai, F = _reduced(c, 7), _fq_field(7, 0)
+        P = _lift(_some_affine_point(c, 7, random.Random(1)))
+        assert _pt_add(P, None, ai, F) == P
+        assert _pt_add(None, P, ai, F) == P
+        assert _pt_add(None, None, ai, F) is None
 
     def test_commutative_and_associative(self):
         rng = random.Random(23)
         for p in (5, 7, 11, 13):
             c = _random_good_curve(rng, p)
-            pts = []
-            while len(pts) < 3:
-                pt = _some_affine_point(c, p, rng)
-                pts.append(pt)
-            P, Q, R = pts
-            assert ec_add(p, c, P, Q) == ec_add(p, c, Q, P)
-            left = ec_add(p, c, ec_add(p, c, P, Q), R)
-            right = ec_add(p, c, P, ec_add(p, c, Q, R))
+            ai, F = _reduced(c, p), _fq_field(p, 0)
+            P, Q, R = (_lift(_some_affine_point(c, p, rng)) for _ in range(3))
+            assert _pt_add(P, Q, ai, F) == _pt_add(Q, P, ai, F)
+            left = _pt_add(_pt_add(P, Q, ai, F), R, ai, F)
+            right = _pt_add(P, _pt_add(Q, R, ai, F), ai, F)
             assert left == right
 
     def test_lagrange_annihilation(self):
+        # N_p P = O: the counts against the group law
         rng = random.Random(5)
         primes = list(primes_in_range(5, 47))
         for _ in range(20):
@@ -254,40 +263,29 @@ class TestGroupLaw:
             if P is None:
                 continue
             n = count_points_fp(c, p).count
-            assert ec_mul(p, c, n, P) is None
+            assert _fq_pt_mul(n, _lift(P), _reduced(c, p), p, 0) is None
 
     def test_two_torsion_point_doubles_to_identity(self):
         c = curve([0, 0, 0, -12, -11])
         for p in (7, 13, 17):
-            assert ec_mul(p, c, 2, (p - 1, 0)) is None
-
-    def test_off_curve_rejected(self):
-        c = curve([0, 0, 0, -12, -11])
-        with pytest.raises(InputError):
-            ec_add(7, c, (0, 1), None)
-        with pytest.raises(InputError):
-            ec_mul(7, c, 2, (0, 1))
-
-    def test_bad_prime_rejected(self):
-        c = curve([0, 0, 0, -12, -11])  # disc = -2^4 3^6 5
-        with pytest.raises(InputError):
-            ec_add(5, c, None, None)
+            assert _fq_pt_mul(2, _lift((p - 1, 0)), _reduced(c, p), p, 0) is None
 
     def test_point_order_divides_group_order(self):
+        # the order by stepping P, 2P, ... to O divides N_p, and the
+        # double-and-add multiples agree with the stepping
         rng = random.Random(17)
         for p in (7, 11, 19, 31):
             c = _random_good_curve(rng, p)
-            P = _some_affine_point(c, p, rng)
-            n = count_points_fp(c, p).count
-            o = point_order(p, c, P)
-            assert n % o == 0
-            assert ec_mul(p, c, o, P) is None
+            ai, F = _reduced(c, p), _fq_field(p, 0)
+            P = _lift(_some_affine_point(c, p, rng))
+            o, acc = 1, P
+            while acc is not None:
+                acc, o = _pt_add(acc, P, ai, F), o + 1
+            assert count_points_fp(c, p).count % o == 0
+            assert _fq_pt_mul(o, P, ai, p, 0) is None
             for q in (2, 3, 5, 7):
                 if o % q == 0:
-                    assert ec_mul(p, c, o // q, P) is not None
-
-    def test_point_order_of_identity(self):
-        assert point_order(7, curve([0, 0, 0, -12, -11]), None) == 1
+                    assert _fq_pt_mul(o // q, P, ai, p, 0) is not None
 
 
 class TestTorsionOverQ:
