@@ -3,10 +3,10 @@
 from ellorders.catalog import as_curve, resolve_label
 from ellorders.curve import curve, quadratic_twist
 from ellorders.reduction import local_data
+from ellorders.survey import gcd_orders_quadratic
 from ellorders.torsion import (
     division_polynomial,
     odd_torsion_over_quadratic,
-    quadratic_torsion_bound,
     torsion_over_Q,
 )
 
@@ -22,7 +22,7 @@ c50 = as_curve(resolve_label("50a3", offline=True))
 print()
 print("50a3 torsion over Q:", torsion_over_Q(c50))
 print("odd torsion over Q(sqrt 5):", odd_torsion_over_quadratic(c50, 5))
-print("order bound over Q(sqrt 5):", quadratic_torsion_bound(c50, 5, 300))
+print("order bound over Q(sqrt 5):", gcd_orders_quadratic(c50, 5, 300))
 
 print()
 psi = division_polynomial(c50, 5)

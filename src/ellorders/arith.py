@@ -129,6 +129,7 @@ def _require_odd_prime(p: int) -> None:
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) via the Euler criterion.  p must be an odd prime."""
     _require_odd_prime(p)
+    _bound(a, -math.inf, "a")  # any integer
     return _euler(a, p)
 
 
@@ -147,6 +148,7 @@ def sqrt_mod(a: int, p: int):
     p = 5 mod 8 avoid the loop entirely.  p must be an odd prime.
     """
     _require_odd_prime(p)
+    _bound(a, -math.inf, "a")  # any integer
     return _sqrt_mod(a, p)
 
 

@@ -65,16 +65,6 @@ class CurveRecord:
         return self.expected.d if self.expected else None
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    """One cache file, <label>.json: its label, ainvs, fetched_at and source."""
-
-    label: str
-    ainvs: tuple  # 5 strings, exact integer or p/q text
-    fetched_at: str
-    source: str
-
-
 # --- coefficient text ----------------------------------------------------
 
 def parse_curve(s):
@@ -211,7 +201,7 @@ def bundled_corpus():
     out = []
     for name, t in (("kkp", 1), ("kkp", 2), ("family3", 1), ("family3", 2),
                     ("family5", 1), ("family5", 2)):
-        c = make_family(name, t=t)
+        c = make_family(name, t)
         out.append(_inline(c.ainvs, notes=(f"family {name} sample at t={t}",)))
     out.append(_inline([1, -1, 1, -199, 510],
                        Expectations(torsion_Q=(1, 4), gcd_all_primes=2)))
@@ -228,7 +218,7 @@ def bundled_corpus():
                               "the only single-character edit with Z/2 x Z/2 torsion "
                               "is a6 = -5720, whose gcd is 2 because N_2 = 2, so no "
                               "single typo reconciles both claims")))
-    out.append(_inline(make_family("kubert5", lam=1).ainvs,
+    out.append(_inline(make_family("kubert5", 1).ainvs,
                        Expectations(gcd_all_primes=1)))
     out.append(_inline([1, -1, 0, -37, -78],
                        Expectations(gcd_all_primes=2),
@@ -297,6 +287,8 @@ def _user_cache_dir(cache_dir):
 
 
 def _entry_from_json(label, raw):
+    """The 5 coefficient strings of a cache file <label>.json: a JSON object
+    whose fields label (this one), ainvs, fetched_at and source are all set."""
     # raw is bytes: json.loads decodes it, so bad UTF-8 is a ValueError too
     try:
         data = json.loads(raw)
@@ -311,12 +303,12 @@ def _entry_from_json(label, raw):
     ainvs = data["ainvs"]
     if not isinstance(ainvs, list) or len(ainvs) != 5:
         raise DataIntegrityError(f"cache entry for {label} needs 5 coefficients")
-    return CacheEntry(label=label, ainvs=tuple(str(a) for a in ainvs),
-                      fetched_at=str(data["fetched_at"]), source=str(data["source"]))
+    return tuple(str(a) for a in ainvs)
 
 
 def _cache_lookup(label, cache_dir):
-    """(entry, the record source naming the cache that held it), or None."""
+    """(coefficient strings, the record source naming the cache that held
+    them), or None."""
     path = _user_cache_dir(cache_dir) / f"{label}.json"
     if path.is_file():
         return _entry_from_json(label, path.read_bytes()), "user"
@@ -328,21 +320,21 @@ def _cache_lookup(label, cache_dir):
     return _entry_from_json(label, raw), "resolver"
 
 
-def _validated_record(entry, source, conductor_part, note):
+def _validated_record(label, entry, source, conductor_part, note):
     try:
-        ainvs = tuple(Fraction(a) for a in entry.ainvs)
+        ainvs = tuple(Fraction(a) for a in entry)
         c = curve(list(ainvs))
     except (ValueError, ZeroDivisionError, InputError) as exc:
-        raise DataIntegrityError(f"cache entry for {entry.label} is not a curve: {exc}")
+        raise DataIntegrityError(f"cache entry for {label} is not a curve: {exc}")
     conductor = int(conductor_part)
     for p in sorted(bad_primes(c)):
         if conductor % p:
             raise DataIntegrityError(
-                f"resolved {entry.label}: bad prime {p} does not divide "
+                f"resolved {label}: bad prime {p} does not divide "
                 f"the label's conductor part {conductor}")
     notes = (note,) if note else ()
-    expected = _row_expectations(entry.label) if entry.label in _SURVEY_ROWS else None
-    return CurveRecord(label=entry.label, a_invariants=ainvs, source=source,
+    expected = _row_expectations(label) if label in _SURVEY_ROWS else None
+    return CurveRecord(label=label, a_invariants=ainvs, source=source,
                        expected=expected, notes=notes)
 
 
@@ -363,4 +355,4 @@ def resolve_label(label, offline=False, *, cache_dir=None):
             f"label {norm} is not cached; to add it, write {norm}.json into "
             f"{_user_cache_dir(cache_dir)}: a JSON object with the fields "
             f"label, ainvs (5 coefficients), fetched_at and source")
-    return _validated_record(*found, conductor_part, note)
+    return _validated_record(norm, *found, conductor_part, note)

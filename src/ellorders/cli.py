@@ -23,9 +23,9 @@ from fractions import Fraction
 import click
 
 from .catalog import as_curve, bundled_corpus, parse_curve, render_curve, resolve_label
-from .curve import make_family, quadratic_twist
+from .curve import _FAMILIES, make_family, quadratic_twist
 from .errors import DataIntegrityError, InputError, ParseError, ResourceError
-from .reduction import _good_at, _ints, bad_primes, local_data
+from .reduction import _count_chunk, _good_at, _ints, bad_primes, local_data
 from .survey import (
     SurveySpec,
     Violation,
@@ -42,21 +42,10 @@ from .torsion import (
     TorsionGroup,
     _odd_part,
     odd_torsion_over_quadratic,
-    quadratic_torsion_bound,
     torsion_over_Q,
 )
 from .walk import prime_walk, quadratic_walk
 from .arith import _euler
-
-# --d on the command line maps onto whatever the family calls its parameter
-_FAMILY_PARAM = {
-    "kkp": "t",
-    "family3": "t",
-    "family5": "t",
-    "kubert5": "lam",
-    "e1k": "k",
-    "e2k": "k",
-}
 
 
 def _parse_value(text: str):
@@ -95,8 +84,7 @@ def _load_curve(curve_text, label, family, t, cache_dir):
     params = _parse_params(t)
     if len(params) != 1:
         raise click.UsageError("this command takes a single --t value")
-    key = _FAMILY_PARAM.get(family, "t")
-    return make_family(family, **{key: params[0]})
+    return make_family(family, params[0])
 
 
 def _int_vector(text: str) -> list:
@@ -213,7 +201,7 @@ def _curve_command(fn):
                        help="coefficients, e.g. \"[0,0,0,-12,-11]\"")(cmd)
     cmd = click.option("--label", default=None, help="curve label to resolve")(cmd)
     cmd = click.option("--family", default=None,
-                       type=click.Choice(sorted(_FAMILY_PARAM)),
+                       type=click.Choice(sorted(_FAMILIES)),
                        help="parametrized family name")(cmd)
     cmd = click.option("--t", default=None, help="family parameter")(cmd)
     cmd = click.option("--offline", is_flag=True, help=_OFFLINE_HELP)(cmd)
@@ -298,7 +286,7 @@ def torsion(c, fmt, d, max_prime):
         quad = payload["quadratic"] = {
             "d": d,
             "odd_order": odd_torsion_over_quadratic(c, d),
-            "order_bound": quadratic_torsion_bound(c, d, max_prime),
+            "order_bound": gcd_orders_quadratic(c, d, max_prime),
         }
         pairs.append((f"odd torsion over Q(sqrt {d})", quad["odd_order"]))
         pairs.append((f"order bound over Q(sqrt {d})", quad["order_bound"]))
@@ -317,13 +305,15 @@ def twist(c, fmt, d, max_prime):
     agree when d is a square mod p and sum to 2p+2 when it is not.
     """
     tw = quadratic_twist(c, d)
-    good, good_tw = _good_at(_ints(c)), _good_at(_ints(tw))
+    ai_tw = _ints(tw)
+    good, good_tw = _good_at(_ints(c)), _good_at(ai_tw)
     keep = lambda p: d % p and good(p) and good_tw(p)
-    checked = 0
+    walked = list(prime_walk(c, 3, max_prime, keep))
+    # the twist is counted on its own model, not read from the trace store,
+    # which would give the curve's traces times (d|p): the identity checked
+    checked = len(walked)
     violations = []
-    for (p, n), (_, n_tw) in zip(prime_walk(c, 3, max_prime, keep),
-                                 prime_walk(tw, 3, max_prime, keep)):
-        checked += 1
+    for (p, n), n_tw in zip(walked, _count_chunk(ai_tw, [p for p, _ in walked])):
         if _euler(d, p) == 1:
             ok = n == n_tw
         else:
@@ -355,7 +345,10 @@ def twist(c, fmt, d, max_prime):
 def survey(c, fmt, m, n, max_prime, threads):
     """Bucket point-count residues against prime classes."""
     table = congruence_survey(c, SurveySpec(m, n, max_prime), workers=threads)
-    payload = {**json.loads(table.as_json()), "schema": "ellorders.survey/1"}
+    payload = _payload("survey", table.ainvs, m=table.m, N=table.N, X=table.X,
+                       total=table.total,
+                       rows=[{"p_class": s, "count_class": t, "primes": k}
+                             for s, t, k in table.cells()])
     if fmt == "csv":
         # every (p class, count class) cell
         _emit(fmt, payload, ("p_class", "count_class", "primes"), table.cells())
@@ -526,7 +519,7 @@ def _corpus_rows(X, cache_dir, threads):
         m_k = tk_claim.order
         odd_claim = _odd_part(m_k)
         odd_got = odd_torsion_over_quadratic(c, exp.d)
-        bound = quadratic_torsion_bound(c, exp.d, _CORPUS_BOUND_PRIME)
+        bound = gcd_orders_quadratic(c, exp.d, _CORPUS_BOUND_PRIME)
         torsion_failures = []
         if tq.structure != tq_claim.structure:
             torsion_failures.append(

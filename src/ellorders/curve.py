@@ -7,7 +7,7 @@ sequence so singular models can still be inspected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, inf, isqrt
@@ -28,21 +28,12 @@ def _rat(x) -> Fraction:
 
 
 @dataclass(frozen=True)
-class FamilyParam:
-    """Provenance tag for curves built by a named family constructor."""
-
-    name: str
-    params: tuple
-
-
-@dataclass(frozen=True)
 class CurveQ:
     a1: Fraction
     a2: Fraction
     a3: Fraction
     a4: Fraction
     a6: Fraction
-    family: FamilyParam | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if _invariant_kernel(self.ainvs)[6] == 0:
@@ -59,16 +50,18 @@ class CurveQ:
         return "[" + ",".join(str(a) for a in self.ainvs) + "]"
 
 
-def curve(ainvs, family: FamilyParam | None = None) -> CurveQ:
+def curve(ainvs) -> CurveQ:
     """Build a curve from [a1, a2, a3, a4, a6]; rejects singular input."""
     vals = [_rat(a) for a in ainvs]
     if len(vals) != 5:
         raise InputError(f"expected 5 coefficients, got {len(vals)}")
-    return CurveQ(*vals, family=family)
+    return CurveQ(*vals)
 
 
 @dataclass(frozen=True)
 class Invariants:
+    """Fractions over Q; over Q(sqrt d) (CurveK) QuadInts, with j None."""
+
     b2: Fraction
     b4: Fraction
     b6: Fraction
@@ -131,8 +124,7 @@ def transformed(c: CurveQ, r=0, s=0, t=0, u=1) -> CurveQ:
     if u == 0:
         raise InputError("scaling factor u must be nonzero")
     n1, n2, n3, n4, n6 = _transform_kernel(c.ainvs, r, s, t)
-    return CurveQ(n1 / u, n2 / u**2, n3 / u**3, n4 / u**4, n6 / u**6,
-                  family=c.family)
+    return CurveQ(n1 / u, n2 / u**2, n3 / u**3, n4 / u**4, n6 / u**6)
 
 
 def short_model(c: CurveQ) -> CurveQ:
@@ -141,7 +133,6 @@ def short_model(c: CurveQ) -> CurveQ:
     return CurveQ(
         Fraction(0), Fraction(0), Fraction(0),
         -inv.c4 / 48, -inv.c6 / 864,
-        family=c.family,
     )
 
 
@@ -174,7 +165,6 @@ def quadratic_twist(c: CurveQ, d) -> CurveQ:
     return CurveQ(
         Fraction(0), Fraction(0), Fraction(0),
         sh.a4 * d * d, sh.a6 * d**3,
-        family=c.family,
     )
 
 
@@ -236,8 +226,7 @@ def kkp(t) -> CurveQ:
     """y^2 = x^3 - (6t+3)x - (3t^2+6t+2); three divides the order of every
     good reduction away from t(9t+4)."""
     t = _rat(t)
-    fam = FamilyParam("kkp", (("t", t),))
-    return curve([0, 0, 0, -(6 * t + 3), -(3 * t * t + 6 * t + 2)], family=fam)
+    return curve([0, 0, 0, -(6 * t + 3), -(3 * t * t + 6 * t + 2)])
 
 
 def family3(t) -> CurveQ:
@@ -245,8 +234,7 @@ def family3(t) -> CurveQ:
     t = _rat(t)
     if t == 0:
         raise InputError("family3 needs t != 0")
-    fam = FamilyParam("family3", (("t", t),))
-    return curve([0, -3 * (t * t + 1), 0, 3, -1], family=fam)
+    return curve([0, -3 * (t * t + 1), 0, 3, -1])
 
 
 def family5(t) -> CurveQ:
@@ -255,8 +243,7 @@ def family5(t) -> CurveQ:
     t = _rat(t)
     if t == 0:
         raise InputError("family5 needs t != 0")
-    fam = FamilyParam("family5", (("t", t),))
-    return curve([0, -7 * t, 0, 96 * t * t, 256 * t**3], family=fam)
+    return curve([0, -7 * t, 0, 96 * t * t, 256 * t**3])
 
 
 def kubert5(lam) -> CurveQ:
@@ -264,8 +251,7 @@ def kubert5(lam) -> CurveQ:
     lam = _rat(lam)
     if lam == 0:
         raise InputError("kubert5 needs a nonzero parameter")
-    fam = FamilyParam("kubert5", (("lam", lam),))
-    return curve([1 - lam, -lam, -lam, 0, 0], family=fam)
+    return curve([1 - lam, -lam, -lam, 0, 0])
 
 
 def e1k(k: int, eps: int = 1) -> CurveQ:
@@ -274,8 +260,7 @@ def e1k(k: int, eps: int = 1) -> CurveQ:
     if eps not in (1, -1):
         raise InputError("e1k needs eps in {1, -1}")
     lam = Fraction(eps * 5**k)
-    fam = FamilyParam("e1k", (("k", k), ("eps", eps)))
-    return curve([1 - lam, -lam, -lam, 0, 0], family=fam)
+    return curve([1 - lam, -lam, -lam, 0, 0])
 
 
 def e2k(k: int, eps: int = 1) -> CurveQ:
@@ -285,8 +270,7 @@ def e2k(k: int, eps: int = 1) -> CurveQ:
     if eps not in (1, -1):
         raise InputError("e2k needs eps in {1, -1}")
     m = Fraction(eps * 5**k)
-    fam = FamilyParam("e2k", (("k", k), ("eps", eps)))
-    return curve([m - 1, -m, -(Fraction(5) ** (2 * k)), 0, 0], family=fam)
+    return curve([m - 1, -m, -(Fraction(5) ** (2 * k)), 0, 0])
 
 
 _FAMILIES = {
@@ -299,12 +283,13 @@ _FAMILIES = {
 }
 
 
-def make_family(name: str, **params) -> CurveQ:
+def make_family(name: str, value) -> CurveQ:
+    """The named family's curve at its one parameter (k for e1k and e2k)."""
     if name not in _FAMILIES:
         raise InputError(
             f"unknown family {name!r}; choose from {sorted(_FAMILIES)}"
         )
-    return _FAMILIES[name](**params)
+    return _FAMILIES[name](value)
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +299,9 @@ def make_family(name: str, **params) -> CurveQ:
 class QuadInt:
     """Algebraic integer (u + v sqrt(d)) / 2^half in Q(sqrt(d)).
 
-    half requires d = 1 mod 4 and u = v mod 2; everything else must have
-    integer u, v.  Stored in normalised form (half cleared when possible), so
-    dataclass equality is semantic equality.
+    u, v and d must be integers (numpy's are stored as Python ints); half
+    requires d = 1 mod 4 and u = v mod 2.  Stored in normalised form (half
+    cleared when possible), so dataclass equality is semantic equality.
     """
 
     u: int
@@ -325,6 +310,11 @@ class QuadInt:
     half: bool = False
 
     def __post_init__(self):
+        for name in ("u", "v", "d"):
+            x = getattr(self, name)
+            if type(x) is not int:  # the ring operations pass only ints
+                _bound(x, -inf, name)  # any integer, kept as int
+                object.__setattr__(self, name, int(x))
         d = self.d
         if d in (0, 1) or not _squarefree(abs(d)):
             raise InputError(f"field discriminant parameter must be squarefree, != 0, 1: {d}")
@@ -340,7 +330,7 @@ class QuadInt:
 
     @classmethod
     def of_int(cls, n: int, d: int) -> "QuadInt":
-        return cls(int(n), 0, d)
+        return cls(n, 0, d)
 
     def doubled(self):
         # (U, V) with value (U + V sqrt(d)) / 2
@@ -461,9 +451,9 @@ class CurveK:
             raise SingularModelError("singular model over the quadratic field")
 
     @cached_property
-    def _invariants(self) -> InvariantsK:
+    def _invariants(self) -> Invariants:
         # computed once per curve: scans over many primes ask for it at each
-        return InvariantsK(*_invariant_kernel(self.ainvs))
+        return Invariants(*_invariant_kernel(self.ainvs), None)
 
     @cached_property
     def _rational_twist(self) -> RationalTwist | None:
@@ -500,29 +490,22 @@ class CurveK:
 
 
 def curve_K(ainvs, d: int) -> CurveK:
+    """The curve over Q(sqrt d) with these QuadInt or integer coefficients; an
+    integral Fraction, as a CurveQ holds, counts as its integer."""
     vals = []
     for a in ainvs:
-        if isinstance(a, QuadInt):
-            vals.append(a)
-        else:
-            vals.append(QuadInt.of_int(int(a), d))
+        if not isinstance(a, QuadInt):
+            if isinstance(a, Fraction) and a.denominator == 1:
+                a = a.numerator
+            _bound(a, -inf, "coefficient")
+            a = QuadInt.of_int(a, d)
+        vals.append(a)
     if len(vals) != 5:
         raise InputError(f"expected 5 coefficients, got {len(vals)}")
     return CurveK(*vals)
 
 
-@dataclass(frozen=True)
-class InvariantsK:
-    b2: QuadInt
-    b4: QuadInt
-    b6: QuadInt
-    b8: QuadInt
-    c4: QuadInt
-    c6: QuadInt
-    disc: QuadInt
-
-
-def invariants_K(c: CurveK) -> InvariantsK:
+def invariants_K(c: CurveK) -> Invariants:
     return c._invariants
 
 

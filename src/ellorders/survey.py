@@ -6,15 +6,14 @@ CHUNK and counts them through walk._stored_counts: the traces the curve's
 twist class has stored are read in this process, and the other primes go to
 reduction._count_chunk, serially or one block per pool job, with their
 traces stored here.  The other scans of a rational curve count through
-walk.prime_walk, which reads the same store, and gcd_orders_quadratic folds
-walk.quadratic_walk.  A table stores each scanned prime once, in its cell;
-a check's report keeps only its violations, each with the exact prime
-involved, and the number of primes checked.  Every bound and modulus is
+walk.prime_walk, which reads the same store, and gcd_orders_quadratic is the
+one fold of walk.quadratic_walk.  A table stores each scanned prime once, in
+its cell; a check's report keeps only its violations, each with the exact
+prime involved, and the number of primes checked.  Every bound and modulus is
 refused by arith._bound unless it is an integer at or above its least value.
 Scans are pure: the store only caches counts.
 """
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -37,8 +36,8 @@ from .reduction import (
     _good_at,
     _ints,
 )
-from .torsion import division_value_mod, quadratic_torsion_bound
-from .walk import _stored_counts, prime_walk
+from .torsion import division_value_mod
+from .walk import _stored_counts, prime_walk, quadratic_walk
 
 
 @dataclass(frozen=True)
@@ -65,8 +64,8 @@ class SurveySpec:
 class CongruenceTable:
     """Scanned primes by cell: (p mod N, N_p mod m) -> ascending tuple of p.
 
-    Each scanned prime is stored once; rows, total and the renderers are
-    views of primes_by_cell.
+    Each scanned prime is stored once; rows, total, cells and as_markdown
+    are views of primes_by_cell, and ainvs is the integral model scanned.
     """
 
     m: int
@@ -94,20 +93,6 @@ class CongruenceTable:
         """Deterministic (s, t, count) walk, ordered by (s, t)."""
         for (s, t), primes in sorted(self.primes_by_cell.items()):
             yield s, t, len(primes)
-
-    def as_json(self) -> str:
-        data = {
-            "curve": [str(a) for a in self.ainvs],
-            "m": self.m,
-            "N": self.N,
-            "X": self.X,
-            "total": self.total,
-            "rows": [
-                {"p_class": s, "count_class": t, "primes": n}
-                for s, t, n in self.cells()
-            ],
-        }
-        return json.dumps(data, indent=2, sort_keys=True)
 
     def as_markdown(self) -> str:
         head = f"| p mod {self.N} | counts mod {self.m} | primes |"
@@ -243,13 +228,21 @@ def gcd_orders_quadratic(c, d: int | None = None, X: int = 2000) -> int:
     """gcd of residue-field orders over Q(sqrt d): odd unramified good primes.
 
     Accepts a rational curve plus d, or a curve already written over the
-    field (d then comes from the curve itself).
+    field (d then comes from the curve itself).  The one fold of
+    walk.quadratic_walk: a multiple of the torsion order over the field, and
+    of every torsion order in the isogeny class there.  Early exit at 1.
     """
     if isinstance(c, CurveK) and d is None:
         d = c.d
     if d is None:
         raise InputError("a rational curve needs the twisting integer d")
-    return quadratic_torsion_bound(c, d, X)
+    _bound(X, 100, "prime bound")
+    g = 0
+    for _, _, n in quadratic_walk(c, d, X):
+        g = math.gcd(g, n)
+        if g == 1:
+            return 1
+    return g
 
 
 def scan_supersingular(c: CurveQ, X: int, modulus: int = 1) -> list:
@@ -319,7 +312,7 @@ def verify_family(name: str, params: list, X: int) -> ScanReport:
     checked = 0
     violations = []
     for t in params:
-        c = make_family(name, t=t)
+        c = make_family(name, t)
         good = _good_at(_ints(c))
         for p, n in prime_walk(c, 2, X, lambda p: good(p) and qualifies(t, p)):
             checked += 1

@@ -7,8 +7,10 @@ point lies over an integer root of the cubic or of a division polynomial
 f_q, q a prime power of that gcd; _integer_roots finds them exactly, with
 no factoring.  The rest of the walk cross-checks the result.
 Over a quadratic field only the odd part is computed exactly (through the
-twist decomposition); the even part is bounded.  MAZUR_STRUCTURES is
-torsion_over_Q's postcondition and the stop rule of its cross-check walk.
+twist decomposition); survey.gcd_orders_quadratic, the one fold of the
+residue-field orders over Q(sqrt d), bounds the whole order.
+MAZUR_STRUCTURES is torsion_over_Q's postcondition and the stop rule of its
+cross-check walk.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import _bound, is_prime
+from .arith import is_prime
 from .curve import CurveQ, integral_model, invariants, quadratic_twist
 from .errors import DataIntegrityError, InputError, ResourceError
 from .reduction import _QQ, _check_field, _good_at, _ints, _mul, _pt_add
-from .walk import prime_walk, quadratic_walk
+from .walk import prime_walk
 
 # the fifteen rational structures, as (n1, n2) with n1 | n2
 MAZUR_STRUCTURES = tuple(
@@ -388,17 +390,3 @@ def odd_torsion_over_quadratic(c: CurveQ, d: int) -> int:
     base = torsion_over_Q(c).order
     tw = torsion_over_Q(quadratic_twist(c, d)).order
     return _odd_part(base) * _odd_part(tw)
-
-
-def quadratic_torsion_bound(c, d: int, max_prime: int = 2000) -> int:
-    """gcd of residue-field counts over Q(sqrt d), folded over quadratic_walk
-    for a rational curve or a curve over the field: a multiple of the
-    torsion order there, and of every torsion order in the isogeny class
-    over the field."""
-    _bound(max_prime, 100, "prime bound")
-    bound = 0
-    for _, _, n in quadratic_walk(c, d, max_prime):
-        bound = math.gcd(bound, n)
-        if bound == 1:
-            break
-    return bound

@@ -5,8 +5,9 @@ prime_walk yields N_p over a prime range, and congruence_survey takes its
 blocks' counts from _stored_counts.  Both read every trace the curve's
 twist class already holds and hand the other primes to
 reduction._count_chunk, which alone picks how a count is made; the traces
-of the counted primes are stored.  quadratic_walk walks a rational curve
-through prime_walk.  A curve over Q(sqrt d) walks on prime_walk's blocks
+of the counted primes are stored.  quadratic_walk, which
+survey.gcd_orders_quadratic alone folds, walks a rational curve through
+prime_walk.  A curve over Q(sqrt d) walks on prime_walk's blocks
 without the store, which single counts never touch either: where its j is
 rational, one _count_chunk call a block counts the rational curve it
 twists, and reduction._place_orders turns each count into the orders of
@@ -57,7 +58,7 @@ from .reduction import (
 )
 
 # A prime walk's first block; later ones double up to CHUNK.  torsion_over_Q
-# checks its stop every 8 primes, and gcd_orders and quadratic_torsion_bound
+# checks its stop every 8 primes, and gcd_orders and gcd_orders_quadratic
 # mostly stop within a few, so a small first block counts little past a stop.
 _WALK_FIRST = 8
 

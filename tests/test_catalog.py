@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from ellorders.catalog import (
-    CacheEntry,
     CurveRecord,
     as_curve,
     bundled_corpus,
@@ -308,8 +307,3 @@ class TestCacheBehavior:
         self._write_entry(tmp_path, "37a1", [0, 0, 1, -1, 0])
         rec = resolve_label("37a1")
         assert rec.a_invariants == (0, 0, 1, -1, 0)
-
-    def test_cache_entry_is_frozen(self):
-        entry = CacheEntry("17a1", ("1", "-1", "1", "-1", "-14"), "t", "s")
-        with pytest.raises(AttributeError):
-            entry.label = "other"

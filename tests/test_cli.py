@@ -262,6 +262,32 @@ class TestScanCommands:
         assert res.exit_code == 0
         assert "identity holds" in res.output
 
+    def test_twist_counts_its_own_model(self, runner, monkeypatch):
+        # the identity compares two independent counts: the twist's come
+        # from its own model at every checked prime, not from the curve's
+        # traces read back through the trace store
+        from ellorders import cli
+        from ellorders.curve import curve, quadratic_twist
+        from ellorders.reduction import _ints
+
+        ai_tw = _ints(quadratic_twist(curve([0, 0, 0, -12, -11]), 5))
+        seen = []
+        real = cli._count_chunk
+
+        def spy(ai, primes):
+            if ai == ai_tw:
+                seen.extend(primes)
+            return real(ai, primes)
+
+        monkeypatch.setattr(cli, "_count_chunk", spy)
+        res = invoke(runner, "twist", "--curve", "[0,0,0,-12,-11]", "--d", "5",
+                     "--max-prime", "1000", "--format", "json")
+        assert res.exit_code == 0
+        data = json.loads(res.output)
+        assert data["checked"] == 165 and data["violations"] == []
+        assert len(seen) == len(set(seen)) == 165
+        assert all(p <= 1000 and p % 5 for p in seen)
+
     def test_supersingular_mod_annotation(self, runner):
         res = invoke(runner, "supersingular", "--curve", "[0,0,0,-1,0]",
                      "--max-prime", "500", "--mod", "4", "--format", "json")

@@ -173,9 +173,10 @@ class TestFamilies:
         assert c.ainvs == (4, -5, -25, 0, 0)
 
     def test_family_dispatch(self):
-        assert make_family("kubert5", lam=1) == kubert5(1)
+        assert make_family("kubert5", 1) == kubert5(1)
+        assert make_family("e1k", 2) == e1k(2)
         with pytest.raises(InputError):
-            make_family("nope")
+            make_family("nope", 1)
 
     def test_degenerate_parameters(self):
         with pytest.raises(InputError):

@@ -332,14 +332,28 @@ class TestArgumentTypes:
         lambda: twist_count_identity_check(_C, 7.0),
         lambda: count_curveK_at_prime(everywhere_good_33(), 7.0),
         lambda: count_curveK_at_prime(everywhere_good_33(), "7"),
+        lambda: legendre(2.5, 7),
+        lambda: sqrt_mod(2.5, 7),
+        lambda: QuadInt(1.5, 2, 5),
+        lambda: QuadInt(1, 2.5, 5),
+        lambda: curve_K([0, 0, 0, 1.5, 1], 5),
+        lambda: curve_K([0, 0, 0, Fraction(3, 2), 1], 5),
     ], ids=["is_prime", "factorize", "valuation-n", "valuation-p", "legendre",
             "sqrt_mod", "QuadInt", "local_data", "local_data-str",
             "count_points_fp", "count_extension-p", "count_extension-n",
             "count_fp2_direct", "twist_identity", "count_curveK",
-            "count_curveK-str"])
+            "count_curveK-str", "legendre-a", "sqrt_mod-a", "QuadInt-u",
+            "QuadInt-v", "curve_K-float", "curve_K-fraction"])
     def test_non_integer_refused(self, call):
         with pytest.raises(InputError, match="must be an integer"):
             call()
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        # a numpy int never reaches a QuadInt product, where int64 wraps
+        z = QuadInt(np.int64(3), np.int64(1), np.int64(5))
+        ck = curve_K([0, 0, 0, np.int64(-12), -11], np.int64(5))
+        for x in (z.u, z.v, z.d, ck.a4.u, ck.a4.v, ck.d):
+            assert type(x) is int
 
 
 class TestCurveKCounts:

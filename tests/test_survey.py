@@ -1,7 +1,6 @@
 """Scan module: congruence tables, densities, gcd folds, family checks."""
 
 import dataclasses
-import json
 import math
 import os
 import subprocess
@@ -605,7 +604,7 @@ class TestVerifyFamily:
         assert rep.passed
         assert rep.total == sum(
             1 for t in (1, 2) for p in primes_in_range(2, 500)
-            if p not in bad_primes(make_family("family3", t=t))
+            if p not in bad_primes(make_family("family3", t))
             and survey._family3_ok(t, p))
 
     def test_unknown_family(self):
@@ -721,14 +720,6 @@ class TestDivisibilityBaseline:
 
 
 class TestRenderers:
-    def test_json_round_trip(self):
-        t = _twelve_twenty_table(X=2000)
-        data = json.loads(t.as_json())
-        assert data["m"] == 12 and data["N"] == 20
-        assert data["total"] == t.total
-        assert sum(r["primes"] for r in data["rows"]) == t.total
-        assert data["curve"] == [str(a) for a in t.ainvs]
-
     def test_markdown_layout(self):
         t = _twelve_twenty_table(X=2000)
         md = t.as_markdown()

@@ -18,6 +18,7 @@ from ellorders.curve import (
 )
 from ellorders.errors import DataIntegrityError, InputError, ResourceError
 from ellorders.reduction import _fq_field, _fq_pt_mul, _pt_add, count_points_fp
+from ellorders.survey import gcd_orders_quadratic
 from ellorders.torsion import (
     MAZUR_STRUCTURES,
     QUADRATIC_GROWTH,
@@ -25,7 +26,6 @@ from ellorders.torsion import (
     division_polynomial,
     division_value_mod,
     odd_torsion_over_quadratic,
-    quadratic_torsion_bound,
     torsion_over_Q,
 )
 from ellorders.torsion import _integer_roots
@@ -482,7 +482,7 @@ class TestQuadraticTorsion:
 
     def test_gaussian_bound_on_small_conductor_curve(self):
         c = curve([1, -1, 1, -1, -14])
-        assert quadratic_torsion_bound(c, -1, 2000) == 8
+        assert gcd_orders_quadratic(c, -1, 2000) == 8
 
     def test_bound_is_a_multiple_of_the_odd_torsion(self):
         cases = [
@@ -491,24 +491,24 @@ class TestQuadraticTorsion:
             (quadratic_twist(curve([1, -2, -4, 0, 0]), 5), 5),
         ]
         for c, d in cases:
-            bound = quadratic_torsion_bound(c, d, 2000)
+            bound = gcd_orders_quadratic(c, d, 2000)
             assert bound % odd_torsion_over_quadratic(c, d) == 0
 
     def test_bound_monotone_in_the_prime_cutoff(self):
         for c, d in ((curve([1, -1, 1, -1, -14]), -1), (kubert5(1), 6)):
-            wide = quadratic_torsion_bound(c, d, 2000)
-            narrow = quadratic_torsion_bound(c, d, 500)
+            wide = gcd_orders_quadratic(c, d, 2000)
+            narrow = gcd_orders_quadratic(c, d, 500)
             assert narrow % wide == 0
 
     def test_bound_needs_a_real_cutoff(self):
         with pytest.raises(InputError):
-            quadratic_torsion_bound(kubert5(1), 6, 99)
+            gcd_orders_quadratic(kubert5(1), 6, 99)
 
     @pytest.mark.parametrize("d, max_prime", [(5.5, 500), ("5", 500), (5, "500"),
                                               (5, 500.0)])
     def test_bound_needs_integers(self, d, max_prime):
         with pytest.raises(InputError, match="must be an integer"):
-            quadratic_torsion_bound(kubert5(1), d, max_prime)
+            gcd_orders_quadratic(kubert5(1), d, max_prime)
 
     @pytest.mark.parametrize("d", [5.5, "5"])
     def test_odd_part_needs_an_integer_d(self, d):
@@ -518,7 +518,7 @@ class TestQuadraticTorsion:
     @pytest.mark.parametrize("d", [0, 1, 12])
     def test_bound_needs_a_field(self, d):
         with pytest.raises(InputError):
-            quadratic_torsion_bound(curve([1, 1, 0, -700, 34000]), d)
+            gcd_orders_quadratic(curve([1, 1, 0, -700, 34000]), d)
 
     def test_observed_growth_is_an_admissible_row(self):
         # structure over Q, observed bound: some quadratic row must explain it
@@ -528,7 +528,7 @@ class TestQuadraticTorsion:
         ]
         for c, d in cases:
             base = torsion_over_Q(c).structure
-            bound = quadratic_torsion_bound(c, d, 2000)
+            bound = gcd_orders_quadratic(c, d, 2000)
             options = QUADRATIC_GROWTH[base]
             assert any(bound % (h1 * h2) == 0 for h1, h2 in options)
 
